@@ -17,9 +17,6 @@ of study.
 from __future__ import annotations
 
 import struct
-from itertools import count as _counter
-
-_marker_ids = _counter()
 
 
 def record_identity(query_id: str, source_id: int, t_end: float) -> bytes:
@@ -254,15 +251,15 @@ class LatencyMarker:
 
     The paper injects one marker per source every 200 ms; the sink records
     ``clock.now - created_at`` on arrival. Treat instances as immutable.
+    A marker is identified by its creation time alone, so two runs of one
+    seed build equal markers (and equal checkpoint bytes) whatever ran
+    earlier in the process.
     """
 
-    __slots__ = ("created_at", "marker_id")
+    __slots__ = ("created_at",)
 
-    def __init__(self, created_at: float, marker_id: int | None = None) -> None:
+    def __init__(self, created_at: float) -> None:
         object.__setattr__(self, "created_at", created_at)
-        object.__setattr__(
-            self, "marker_id", next(_marker_ids) if marker_id is None else marker_id
-        )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(
@@ -272,19 +269,13 @@ class LatencyMarker:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatencyMarker):
             return NotImplemented
-        return (
-            self.created_at == other.created_at
-            and self.marker_id == other.marker_id
-        )
+        return self.created_at == other.created_at
 
     def __hash__(self) -> int:
-        return hash((self.created_at, self.marker_id))
+        return hash(self.created_at)
 
     def __repr__(self) -> str:
-        return (
-            f"LatencyMarker(created_at={self.created_at!r}, "
-            f"marker_id={self.marker_id!r})"
-        )
+        return f"LatencyMarker(created_at={self.created_at!r})"
 
 
 Record = object  # EventBatch | RecordBatch | Watermark | LatencyMarker

@@ -1,15 +1,18 @@
-"""Determinism under fault injection (ISSUE satellite 1).
+"""Determinism of seeded runs.
 
 Two runs with the same seed and the same active :class:`FaultPlan` must
 produce *byte-identical* metrics — the fault layer is a pure function of
 (identity, time), so it must not perturb the engine's RNG streams or
 introduce any order-dependence. A different seed must produce different
 network-delay samples (the runs genuinely differ, rather than the seed
-being ignored).
+being ignored). Checkpoint bytes must not depend on earlier runs in the
+same process, and the source burst walk must be driven by the seed.
 """
 
 import dataclasses
+import json
 
+from repro.bench.runner import make_scheduler
 from repro.core.klink import KlinkScheduler
 from repro.faults import (
     FaultPlan,
@@ -20,10 +23,13 @@ from repro.faults import (
     WatermarkStraggler,
 )
 from repro.net.delays import UniformDelay
+from repro.resilience.checkpoint import capture, serialize
 from repro.spe.engine import Engine
 from repro.spe.operators import FilterOperator, SinkOperator, WindowedAggregate
 from repro.spe.query import Query, SourceBinding, SourceSpec, chain
 from repro.spe.windows import TumblingEventTimeWindows
+from repro.workloads import WorkloadParams, build_queries
+from tests.helpers import make_simple_query
 
 
 def make_stochastic_query(query_id: str = "q0", *, seed: int = 0) -> Query:
@@ -105,3 +111,49 @@ class TestDeterminism:
         _, faulty = run_once(seed=42, faults=make_plan())
         assert fingerprint(clean) != fingerprint(faulty)
         assert faulty.fault_cycles > 0
+
+
+class TestCheckpointBytesAcrossRuns:
+    @staticmethod
+    def _snapshot() -> str:
+        queries = build_queries("ysb", 3, WorkloadParams(seed=7))
+        engine = Engine(
+            queries, make_scheduler("Klink"), cores=8, cycle_ms=100.0, seed=7
+        )
+        engine.run(25_000.0)
+        return serialize(capture(engine))
+
+    def test_same_seed_runs_in_one_process_serialize_identically(self):
+        # Nothing process-global (such as a marker id counter) may leak
+        # into a snapshot: the second run must encode the same bytes.
+        first = self._snapshot()
+        assert '"t":"m"' in first  # in-flight latency markers are encoded
+        assert self._snapshot() == first
+
+
+class TestBurstStateDeterminism:
+    """The burst state machine consumes ``binding.rng`` in interval order;
+    reruns must be bit-stable and the seed must drive the walk."""
+
+    @staticmethod
+    def _bursty_fingerprint(seed: int) -> str:
+        queries = [
+            make_simple_query(
+                "bursty-q0", rate_eps=5_000.0, burst_factor=3.0, seed=seed
+            )
+        ]
+        engine = Engine(
+            queries,
+            make_scheduler("Default"),
+            cores=2,
+            cycle_ms=100.0,
+            seed=seed,
+        )
+        metrics = engine.run(10_000.0)
+        return json.dumps(metrics.summary(), sort_keys=True)
+
+    def test_same_seed_is_byte_stable(self):
+        assert self._bursty_fingerprint(5) == self._bursty_fingerprint(5)
+
+    def test_seed_actually_drives_the_burst_walk(self):
+        assert self._bursty_fingerprint(5) != self._bursty_fingerprint(6)

@@ -67,9 +67,17 @@ class TestWatermark:
 
 
 class TestLatencyMarker:
-    def test_ids_are_unique(self):
-        a, b = LatencyMarker(created_at=0.0), LatencyMarker(created_at=0.0)
-        assert a.marker_id != b.marker_id
+    def test_identity_is_creation_time(self):
+        # No process-global id: markers built by separate runs compare
+        # (and hash) equal exactly when their creation times do.
+        assert LatencyMarker(created_at=5.0) == LatencyMarker(created_at=5.0)
+        assert hash(LatencyMarker(created_at=5.0)) == hash(
+            LatencyMarker(created_at=5.0)
+        )
+        assert LatencyMarker(created_at=5.0) != LatencyMarker(created_at=6.0)
+        assert repr(LatencyMarker(created_at=5.0)) == (
+            "LatencyMarker(created_at=5.0)"
+        )
 
 
 class TestKindPredicates:

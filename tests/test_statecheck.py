@@ -29,6 +29,7 @@ from repro.analysis.statecheck import (
     main,
     run_statecheck,
 )
+from repro.resilience.checkpoint import SCHEMA_VERSION as CHECKPOINT_SCHEMA
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -113,7 +114,7 @@ class TestShippedTreeIsClean:
 
     def test_fingerprint_file_is_committed_and_well_formed(self):
         payload = json.loads((SRC / FINGERPRINT_REL).read_text())
-        assert payload["schema_version"] == 4
+        assert payload["schema_version"] == CHECKPOINT_SCHEMA
         assert "fingerprint" in payload
         # the contract covers every helper-pair entry plus schedulers
         for entry in ("engine", "operator", "channel", "binding", "metrics"):
@@ -187,9 +188,10 @@ class TestMutationTeeth:
     def test_version_bump_plus_refresh_clears_ks210(self, tree_copy):
         checkpoint = self._widen_channel_contract(tree_copy)
         source = checkpoint.read_text()
-        assert source.count("SCHEMA_VERSION = 4") == 1
+        current = f"SCHEMA_VERSION = {CHECKPOINT_SCHEMA}"
+        assert source.count(current) == 1
         checkpoint.write_text(
-            source.replace("SCHEMA_VERSION = 4", "SCHEMA_VERSION = 5")
+            source.replace(current, f"SCHEMA_VERSION = {CHECKPOINT_SCHEMA + 1}")
         )
         # stale fingerprint now reports KS211 (regenerable), not KS210
         report = check_paths([tree_copy])
@@ -200,7 +202,7 @@ class TestMutationTeeth:
         report = check_paths([tree_copy])
         assert report.diagnostics == [], report.render_text()
         payload = json.loads((tree_copy / FINGERPRINT_REL).read_text())
-        assert payload["schema_version"] == 5
+        assert payload["schema_version"] == CHECKPOINT_SCHEMA + 1
         assert "sneaky_extra" in payload["contract"]["channel"]
 
 
