@@ -396,6 +396,10 @@ class TelemetrySampler:
         self._lag_count = 0
         self._lag_max = -math.inf
         self._finalized = False
+        # Per-counter offsets added to the stats that set_total counters
+        # mirror; on_rollback sets them so a counter keeps rising after
+        # the engine rewinds its stats to a checkpoint.
+        self._total_offsets: Dict[Tuple[str, Labels], float] = {}
 
     # -- engine-facing hook --------------------------------------------------
 
@@ -427,6 +431,46 @@ class TelemetrySampler:
         self.registry.sample(now)
         self.samples_taken += 1
         self.alerts.evaluate(now, self.registry)
+
+    def on_rollback(self, engine: Any) -> None:
+        """Re-base after a checkpoint rollback rewound the engine's stats.
+
+        Each cumulative counter continues from its value before the
+        rollback, so replayed work counts again; latencies the rollback
+        truncated are drained again as the replay re-records them.
+        """
+        metrics = engine.metrics
+        self._rebase_total("events_processed", None, metrics.total_events_processed)
+        self._rebase_total(
+            "cpu_ms", None, metrics.busy_cpu_ms + metrics.scheduler_overhead_ms
+        )
+        for query in engine.queries:
+            for op in query.operators:
+                self._rebase_total(
+                    "op_cpu_ms",
+                    {"query": query.query_id, "operator": op.name},
+                    op.stats.busy_ms,
+                )
+        self._latencies_seen = min(
+            self._latencies_seen, len(metrics.swm_latencies)
+        )
+
+    def _rebase_total(
+        self, name: str, labels: Optional[Mapping[str, str]], stat: float
+    ) -> None:
+        key = (name, labels_key(labels))
+        counter = self.registry._metrics.get(key)
+        if counter is not None:
+            self._total_offsets[key] = counter.value - stat
+
+    def _set_total(
+        self, name: str, labels: Optional[Mapping[str, str]], stat: float
+    ) -> None:
+        key = (name, labels_key(labels))
+        offset = self._total_offsets.get(key)
+        self.registry.counter(name, labels).set_total(
+            stat if offset is None else stat + offset
+        )
 
     def _sample_due(self, now: float) -> bool:
         period = self.config.period_ms
@@ -472,11 +516,13 @@ class TelemetrySampler:
             engine.memory.utilization(queries)
         )
         registry.gauge("memory_bytes").set(engine.memory.used_bytes(queries))
-        registry.counter("events_processed").set_total(
-            engine.metrics.total_events_processed
+        self._set_total(
+            "events_processed", None, engine.metrics.total_events_processed
         )
-        registry.counter("cpu_ms").set_total(
-            engine.metrics.busy_cpu_ms + engine.metrics.scheduler_overhead_ms
+        self._set_total(
+            "cpu_ms",
+            None,
+            engine.metrics.busy_cpu_ms + engine.metrics.scheduler_overhead_ms,
         )
         schedulers = self._schedulers(engine)
         mm_active = any(
@@ -533,9 +579,7 @@ class TelemetrySampler:
                     registry.gauge("op_queue_depth", op_labels).set(
                         op.queued_events
                     )
-                    registry.counter("op_cpu_ms", op_labels).set_total(
-                        op.stats.busy_ms
-                    )
+                    self._set_total("op_cpu_ms", op_labels, op.stats.busy_ms)
 
     # -- finalization --------------------------------------------------------
 

@@ -283,3 +283,48 @@ class TestTraceV2RoundTrip:
         assert trace.schema_version == 1
         assert trace.series == [] and trace.alerts == []
         assert len(trace.cycles) == 1
+
+
+class TestSamplerRollback:
+    def test_counters_continue_across_a_rollback(self):
+        sampler = TelemetrySampler()
+        engine = Engine(
+            [make_simple_query()], KlinkScheduler(), cores=2, cycle_ms=100.0,
+            telemetry=sampler,
+        )
+        engine.run(5_000.0)
+        counter = sampler.registry.counter("cpu_ms")
+        before = counter.value
+        assert before > 0.0
+        # A rollback rewinds the stats the counter mirrors ...
+        engine.metrics.busy_cpu_ms = 0.0
+        engine.metrics.scheduler_overhead_ms = 0.0
+        sampler.on_rollback(engine)
+        # ... and the counter resumes from its pre-rollback value.
+        sampler._set_total("cpu_ms", None, 2.5)
+        assert counter.value == before + 2.5
+        with pytest.raises(ValueError, match="cannot decrease"):
+            counter.set_total(before)
+
+    def test_telemetry_with_restart_recovery_completes(self, tmp_path):
+        # The CLI equivalent: repro-bench run --workload ysb --scheduler
+        # Klink --queries 4 --duration 60 --seed 1 --faults 3
+        # --recover restart --telemetry --no-cache (a trace as well).
+        from repro.bench.runner import ExperimentConfig, run_experiment
+
+        result = run_experiment(
+            ExperimentConfig(
+                workload="ysb",
+                scheduler="Klink",
+                n_queries=4,
+                duration_ms=60_000.0,
+                seed=1,
+                fault_seed=3,
+                recover="restart",
+                telemetry=True,
+                trace_path=str(tmp_path / "trace.jsonl"),
+            )
+        )
+        assert result.metrics.recoveries >= 1
+        assert result.telemetry is not None
+        assert result.telemetry.samples_taken > 0
