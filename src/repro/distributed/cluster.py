@@ -124,7 +124,6 @@ class DistributedEngine(Engine):
         checkpoints=None,
         recovery=None,
         validate: bool = True,
-        vectorized: bool = True,
     ) -> None:
         self.plan = plan
         self.board = ForwardingBoard(rpc_latency_ms)
@@ -150,7 +149,6 @@ class DistributedEngine(Engine):
             checkpoints=checkpoints,
             recovery=recovery,
             validate=validate,
-            vectorized=vectorized,
         )
         # Attach transfer latency to cross-node edges.
         self._delayed_channels: List[Channel] = []
