@@ -48,11 +48,11 @@ class DelayModel(abc.ABC):
         order — the refill is one :meth:`sample_batch` call, whose pinned
         contract is bit-identity with sequential ``sample()`` draws. The
         only observable difference is the *generator's internal state*,
-        which runs ahead of the consumed values by up to a block. Callers
-        that snapshot generator state (checkpointing engines) or
-        interleave direct ``sample``/``sample_batch`` calls on the same
-        model must not mix them with ``sample_amortized`` — the engine
-        enables amortization only when no such observer exists.
+        which runs ahead of the consumed values by up to a block: snapshot
+        it through :meth:`checkpoint_rng_state`, never the live generator,
+        and do not interleave direct ``sample``/``sample_batch`` calls on
+        the same model. The engine draws every source delay through this
+        method.
         """
         pos = self._draw_pos
         buf = self._draw_buf
