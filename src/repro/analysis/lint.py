@@ -11,7 +11,7 @@ constructs that silently break it:
 ========  ==============================================================
  KL001     absolute wall-clock access (``time.time``, ``datetime.now``,
            ...) — simulation code must use the virtual clock. Allowed
-           in ``spe/tracing.py`` (observability).
+           in ``bench/perf.py`` (the perf harness times the host).
  KL002     unseeded randomness: the ``random`` module,
            ``numpy.random`` module-level sampling/seeding functions,
            and seedless generator constructors
@@ -100,9 +100,6 @@ RULE_SCOPES: Dict[str, str] = {
 
 #: files (matched by path suffix) with rules that are allowed inside them
 DEFAULT_FILE_ALLOWLIST: Dict[str, FrozenSet[str]] = {
-    # Tracing annotates rows with host timestamps for log correlation;
-    # nothing in the simulation consumes them.
-    "spe/tracing.py": frozenset({"KL001", "KL006"}),
     # The perf harness times real wall-clock execution of the simulator;
     # its measurements never feed back into simulated state.
     "bench/perf.py": frozenset({"KL001", "KL006"}),
@@ -297,7 +294,7 @@ class _LintVisitor(ast.NodeVisitor):
                 node,
                 "KL001",
                 f"wall-clock call {path}() in simulation code; use the "
-                "engine's VirtualClock (or move it to spe/tracing.py)",
+                "engine's VirtualClock",
             )
         elif path in _MONOTONIC_CLOCK_CALLS:
             self._flag(

@@ -72,7 +72,7 @@ class CyclePhaseProfiler:
     and unprofiled runs produce byte-identical outputs (modulo wall
     clock). Phases: generate (source record synthesis), deliver (network
     → channel ingestion), schedule (collect + plan + audit), execute
-    (operator work), drain (metrics, telemetry, checkpoints, tracing).
+    (operator work), drain (metrics, telemetry, audit, checkpoints).
     """
 
     PHASES = ("generate", "deliver", "schedule", "execute", "drain")

@@ -13,17 +13,15 @@ local pending cost upstream (Fig. 5's forwarding arrows).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 from repro.core.estimator import SwmEstimate
 from repro.core.klink import KlinkScheduler
 from repro.core.scheduler import Allocation, Plan, Scheduler, SchedulerContext
 from repro.core.slack import expected_slack, interval_steps
 from repro.distributed.forwarding import ForwardingBoard, QueryInfo
-from repro.obs.audit import explain_with_fallback
 from repro.distributed.placement import PhysicalPlan
 from repro.spe.engine import Engine
-from repro.spe.memory import MemoryConfig
 from repro.spe.query import Query
 from repro.spe.streams import Channel
 
@@ -99,9 +97,15 @@ class DistributedKlinkScheduler(KlinkScheduler):
 class DistributedEngine(Engine):
     """Engine spanning several nodes with per-node scheduling.
 
+    The cycle loop is :meth:`Engine.step_cycle`; this class adds only the
+    placement (which node hosts which operator, re-placement on standby
+    promotion) and the forwarding (cross-node transfer latency and the
+    board the per-node policies exchange information on).
     ``scheduler_factory`` builds one policy instance per node; pass
     :class:`DistributedKlinkScheduler` via :meth:`with_klink` or any
-    query-level baseline via :meth:`with_policy`.
+    query-level baseline via :meth:`with_policy`. Every other keyword is
+    an :class:`Engine` keyword; ``cores`` is ``cores_per_node`` times the
+    node count.
     """
 
     def __init__(
@@ -111,45 +115,24 @@ class DistributedEngine(Engine):
         plan: PhysicalPlan,
         *,
         cores_per_node: int = 24,
-        cycle_ms: float = 120.0,
-        memory: MemoryConfig | None = None,
-        seed: int = 0,
         rpc_latency_ms: float = 2.0,
-        tracer=None,
-        audit=None,
-        profiler=None,
-        faults=None,
-        invariants=None,
-        telemetry=None,
-        checkpoints=None,
-        recovery=None,
-        validate: bool = True,
+        **engine_kwargs,
     ) -> None:
         self.plan = plan
         self.board = ForwardingBoard(rpc_latency_ms)
-        self.cores_per_node = cores_per_node
         self.rpc_latency_ms = float(rpc_latency_ms)
-        self.node_schedulers: List[Scheduler] = [
+        node_schedulers = [
             scheduler_factory(node, self.board, plan)
             for node in range(plan.n_nodes)
         ]
         super().__init__(
             queries,
-            self.node_schedulers[0],
+            node_schedulers[0],
             cores=cores_per_node * plan.n_nodes,
-            cycle_ms=cycle_ms,
-            memory=memory,
-            seed=seed,
-            tracer=tracer,
-            audit=audit,
-            profiler=profiler,
-            faults=faults,
-            invariants=invariants,
-            telemetry=telemetry,
-            checkpoints=checkpoints,
-            recovery=recovery,
-            validate=validate,
+            **engine_kwargs,
         )
+        self.node_schedulers = node_schedulers
+        self.cores_per_node = cores_per_node
         # Attach transfer latency to cross-node edges.
         self._delayed_channels: List[Channel] = []
         for query in self.queries:
@@ -192,7 +175,11 @@ class DistributedEngine(Engine):
 
     # -- forwarding ---------------------------------------------------------------
 
-    def _publish_info(self, now: float, down_nodes=frozenset()) -> None:
+    def _release_transfers(self, now: float) -> None:
+        for channel in self._delayed_channels:
+            channel.release(now)
+
+    def _publish_info(self, now: float, down_nodes: FrozenSet[int]) -> None:
         for query in self.queries:
             unit = query.unit_costs()
             source_node = self.plan.source_node(query)
@@ -232,122 +219,10 @@ class DistributedEngine(Engine):
                         info.last_swm_ingest_time = max(ingests) if ingests else None
                 self.board.publish(node, query.query_id, info)
 
-    # -- cycle override --------------------------------------------------------------
+    # -- placement ----------------------------------------------------------------
 
-    def step_cycle(self) -> None:
-        self.clock.advance(self.cycle_ms)
-        # calendar-queue cycle index tracks the clock
-        self._cal_cycle += 1  # klink: transient[relative bucket index; restore refiles buckets against it]
-        now = self.clock.now
-        self._apply_faults(now)
-        down_nodes = frozenset(
-            node
-            for node in range(self.plan.n_nodes)
-            if self.faults is not None and self.faults.node_down(node, now)
-        )
-        if self.recovery is not None:
-            down_nodes = self.recovery.on_cycle(self, down_nodes, now)
-        for channel in self._delayed_channels:
-            channel.release(now)
-        backpressured = (
-            self.memory.backpressured(self.queries) or self._throttle_requested
-        )
-        if backpressured:
-            self.metrics.backpressure_cycles += 1
-        self._generate_until(now, shed_events=backpressured)
-        # Queries whose source node failed cannot ingest: their traffic
-        # ages in the network buffer until the node recovers.
-        blocked = None
-        if down_nodes:
-            blocked = lambda q: self.plan.source_node(q) in down_nodes
-        self._deliver_ingestions(now, backpressured, blocked=blocked)
-        self._publish_info(now, down_nodes)
-        ctx = self._collect()
-        throttle = False
-        used_total = 0.0
-        overhead_total = 0.0
-        plans = []
-        node_records = []  # (node, scheduler, plan, decisions, used, overhead)
-        for node, scheduler in enumerate(self.node_schedulers):
-            if node in down_nodes:
-                continue  # a failed node runs neither its policy nor its tasks
-            plan = scheduler.plan(ctx)
-            decisions = (
-                explain_with_fallback(scheduler, ctx, plan)
-                if self.audit is not None
-                else []
-            )
-            plans.append(plan)
-            throttle = throttle or plan.throttle_ingestion
-            overhead = plan.overhead_ms + scheduler.overhead_ms(ctx)
-            overhead_total += overhead
-            tax = self.memory.pressure_tax(ctx.memory_utilization)
-            budget = max(
-                0.0, (self.cores_per_node * self.cycle_ms - overhead) * (1.0 - tax)
-            )
-            localized = self._localize(plan, node)
-            used = self._execute_plan(localized, budget)
-            used_total += used
-            node_records.append(
-                (node, scheduler, plan, decisions, used, overhead)
-            )
-        self._throttle_requested = throttle
-        self.metrics.scheduler_overhead_ms += overhead_total
-        self.metrics.busy_cpu_ms += used_total
-        self._drain_sink_metrics()
-        self._sample_utilization(used_total + overhead_total)
-        cycle_index = self.metrics.cycles
-        self.metrics.cycles += 1
-        if self.invariants is not None:
-            self.invariants.on_cycle(
-                self, plans=plans, cpu_used_ms=used_total + overhead_total
-            )
-        if self.tracer is not None and plans:
-            self.tracer.on_cycle(
-                time=now,
-                memory_utilization=ctx.memory_utilization,
-                cpu_used_ms=used_total,
-                overhead_ms=overhead_total,
-                backpressured=backpressured,
-                plan=plans[0],
-            )
-        if self.profiler is not None:
-            self.profiler.on_cycle(self.queries)
-        if self.telemetry is not None:
-            # Per-node series merge: one registry receives every node's
-            # CPU counters (labelled node=<i>); per-query signals are
-            # cluster-global and recorded once. Registry serialization
-            # sorts by series key, so the merged output is independent
-            # of node iteration order.
-            node_cpu = {
-                node: (used, overhead)
-                for node, _, _, _, used, overhead in node_records
-            }
-            self.telemetry.on_cycle(
-                self,
-                now,
-                cpu_used_ms=used_total,
-                overhead_ms=overhead_total,
-                node_cpu=node_cpu,
-            )
-        if self.audit is not None:
-            # one audit record per live node: each node's policy ranked the
-            # full query set independently (decentralized scheduling, Sec. 4)
-            for node, scheduler, plan, decisions, used, overhead in node_records:
-                self.audit.on_cycle(
-                    time=now,
-                    cycle=cycle_index,
-                    scheduler=scheduler,
-                    ctx=ctx,
-                    plan=plan,
-                    backpressured=backpressured,
-                    cpu_used_ms=used,
-                    overhead_ms=overhead,
-                    node=node,
-                    decisions=decisions,
-                )
-        if self.checkpoints is not None:
-            self.checkpoints.maybe_checkpoint(self, now, down_nodes)
+    def _source_node(self, query: Query) -> int:
+        return self.plan.source_node(query)
 
     def _on_standby_promotion(self, node: int, now: float) -> None:
         """Re-place the failed node's operators onto a hot standby.

@@ -9,13 +9,13 @@ overdue SWM, ...) and the runtime inputs the decision was based on: the
 slack estimate, the estimated SWM delay mean/std, memory bytes, and
 queued events.
 
-The engine calls :meth:`AuditLog.on_cycle` once per cycle (per node in
-the distributed engine); the log asks the active policy to *explain*
-its plan through the :class:`DecisionExplainer` protocol — every policy
-in :mod:`repro.core` implements ``explain_plan`` — and stores one
-:class:`DecisionRecord`. Memory is bounded: records live in a
-``deque(maxlen=max_rows)`` (the ``CycleTracer`` approach), and an
-optional ``stream`` (any object with a ``write(dict)`` method, e.g. a
+The engine calls :meth:`AuditLog.on_cycle` once per node per cycle (a
+down node's record has an empty plan); the log asks the active policy
+to *explain* its plan through the :class:`DecisionExplainer` protocol —
+every policy in :mod:`repro.core` implements ``explain_plan`` — and
+stores one :class:`DecisionRecord`. Memory is bounded: records live in
+a ``deque(maxlen=max_rows)``, and an optional ``stream`` (any object
+with a ``write(dict)`` method, e.g. a
 :class:`~repro.obs.export.TraceWriter`) receives every record as it is
 produced for unbounded-duration runs.
 """

@@ -1,10 +1,10 @@
 """Streaming trace exporters with bounded memory.
 
-The in-memory side of observability (``AuditLog``, ``CycleTracer``)
-keeps a bounded ``deque`` of recent rows; these writers are the
-unbounded-duration counterpart: rows are serialized to disk as they are
-produced, so a multi-hour simulated run can be traced without the trace
-ever living in memory.
+The in-memory side of observability (``AuditLog``) keeps a bounded
+``deque`` of recent rows; these writers are the unbounded-duration
+counterpart: rows are serialized to disk as they are produced, so a
+multi-hour simulated run can be traced without the trace ever living in
+memory.
 
 Two low-level writers (:class:`JsonlWriter`, :class:`CsvWriter`) plus
 the *run trace* container format used by ``repro-bench report``:

@@ -27,7 +27,7 @@ exporter in :mod:`repro.obs`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.obs.export import Trace, dumps_line, jsonify
 from repro.obs.lineage import SPAN_KINDS
@@ -398,22 +398,3 @@ def write_chrome_trace(
         fh.write(dumps_line(jsonify(payload)))
         fh.write("\n")
     return payload
-
-
-def trace_from_tracer(
-    rows: Sequence[Mapping[str, Any]],
-    *,
-    cycle_ms: float,
-    meta: Optional[Mapping[str, Any]] = None,
-) -> Trace:
-    """Wrap bare :class:`~repro.spe.tracing.CycleTracer` rows in a Trace
-    so lightweight (tracer-only) runs can still export a flame chart."""
-    head: Dict[str, Any] = {"cycle_ms": cycle_ms}
-    if meta:
-        head.update(meta)
-    cycles: List[Dict[str, Any]] = []
-    for row in rows:
-        cycle = dict(row)
-        cycle.setdefault("mode", cycle.pop("plan_mode", "priority"))
-        cycles.append(cycle)
-    return Trace(meta=head, cycles=cycles)

@@ -414,12 +414,13 @@ class TelemetrySampler:
     ) -> None:
         """Per-cycle hook: drain latencies, sample when a period elapses.
 
-        ``node_cpu`` (``{node: (cpu_used_ms, overhead_ms)}``) is passed
-        by :class:`~repro.distributed.cluster.DistributedEngine` so the
-        per-node CPU series can be merged into one registry.
+        ``node_cpu`` (``{node: (cpu_used_ms, overhead_ms)}``) merges the
+        per-node CPU series into one registry; the engine passes it every
+        cycle, and a single node's equals the unlabelled ``cpu_ms``, so it
+        is recorded only when there is more than one node.
         """
         self._drain_latencies(engine)
-        if node_cpu is not None:
+        if node_cpu is not None and len(node_cpu) > 1:
             for node in sorted(node_cpu):
                 used, overhead = node_cpu[node]
                 self.registry.counter(
@@ -502,10 +503,10 @@ class TelemetrySampler:
     def _schedulers(engine: Any) -> List[Tuple[Optional[str], Any]]:
         """(node label, scheduler) pairs; one pair per node when
         decentralized, a single unlabelled pair otherwise."""
-        node_schedulers = getattr(engine, "node_schedulers", None)
-        if node_schedulers:
+        node_schedulers = engine.node_schedulers
+        if len(node_schedulers) > 1:
             return [(str(i), s) for i, s in enumerate(node_schedulers)]
-        return [(None, engine.scheduler)]
+        return [(None, node_schedulers[0])]
 
     def _collect(
         self, engine: Any, now: float, cpu_used_ms: float, overhead_ms: float

@@ -479,9 +479,11 @@ def _restore_metrics(metrics: RunMetrics, state: Dict[str, Any], mode: str) -> N
 
 
 def _schedulers(engine: "Engine") -> List[Any]:
-    """One scheduler per node when decentralized, else the single policy."""
-    node_schedulers = getattr(engine, "node_schedulers", None)
-    return list(node_schedulers) if node_schedulers else [engine.scheduler]
+    """One scheduler per node; node 0's is ``engine.scheduler``."""
+    schedulers = list(engine.node_schedulers)
+    if schedulers[0] is not engine.scheduler:
+        raise CheckpointError("engine.scheduler is not node 0's scheduler")
+    return schedulers
 
 
 def _board_state(board: Any) -> List[Any]:

@@ -1,4 +1,4 @@
-"""Single-node stream processing engine (discrete-event simulator).
+"""Stream processing engine (discrete-event simulator).
 
 The engine plays the role of Flink's runtime in the paper's Sec. 5
 framework. It owns the virtual clock, generates source traffic through the
@@ -8,12 +8,23 @@ asks the active policy for a :class:`~repro.core.scheduler.Plan`, and
 *starts* the planned tasks with the cycle's CPU budget while the others
 stay *paused* (the register/collect/start/pause API of Sec. 5).
 
+Nodes
+-----
+:meth:`Engine.step_cycle` is the one cycle loop: it runs the
+collect/plan/start cycle once per node, each node with its own policy
+instance in ``node_schedulers`` (decentralized scheduling, Sec. 4). An
+:class:`Engine` is a 1-node placement; the placement and forwarding
+hooks (``_source_node``, ``_localize``, ``_release_transfers``,
+``_publish_info``, ``_on_standby_promotion``) do nothing there, and
+:class:`~repro.distributed.cluster.DistributedEngine` overrides them.
+
 CPU model
 ---------
-A node has ``cores`` cores; one cycle provides ``cores * r`` CPU
-milliseconds. A query pipeline executes sequentially, so a single query
-can consume at most ``r`` ms per cycle (one core-slice); a priority plan
-therefore effectively selects which ``cores`` queries run this cycle.
+A node has ``cores_per_node`` cores; one cycle provides
+``cores_per_node * r`` CPU milliseconds. A query pipeline executes
+sequentially, so a single query can consume at most ``r`` ms per cycle
+(one core-slice); a priority plan therefore effectively selects which
+``cores_per_node`` queries run this cycle on each node.
 Unused budget is lost (cores idle), mirroring a real deployment.
 
 Ingestion model
@@ -30,8 +41,7 @@ events age in the network buffer and latency grows.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +67,6 @@ class Engine:
         cycle_ms: float = 120.0,
         memory: MemoryConfig | None = None,
         seed: int = 0,
-        tracer=None,
         audit=None,
         profiler=None,
         faults=None,
@@ -101,10 +110,14 @@ class Engine:
 
             validate_queries(self.queries)
         self.scheduler = scheduler
+        #: one policy instance per node; a single-node engine is a 1-node
+        #: placement
+        self.node_schedulers: List[Scheduler] = [scheduler]
         self.cores = cores
+        #: cores of each node; a single node has all of them
+        self.cores_per_node = cores
         self.cycle_ms = float(cycle_ms)
         self.memory = MemoryModel(memory)
-        self.tracer = tracer
         #: optional scheduler-decision audit trail (repro.obs.AuditLog)
         self.audit = audit
         #: optional per-operator profiler (repro.obs.OperatorProfiler)
@@ -441,11 +454,13 @@ class Engine:
         records (watermarks, markers) are still delivered — watermarks
         occupy no queue memory and progressing event-time is what lets
         window operators fire and release state. ``blocked`` (a predicate
-        over queries) defers everything for queries whose ingestion path
-        is unavailable — e.g. their source node failed.
+        over queries) holds everything for queries whose source node is
+        down: those records stay in the network in (ingest_time, seq)
+        order and are delivered, ahead of later traffic, once it returns.
         """
         ready = self._due_calendar_records(now)
         deferred = []
+        held = []
         stalled: Dict[str, bool] = {}
         metrics = self.metrics
         lineage = self.lineage
@@ -458,11 +473,11 @@ class Engine:
         # constant-False tests per record matters at this loop's volume.
         # (The guard tests are pure reads, so the split is unobservable.)
         gated = check_stall or backpressured or blocked is not None
-        for _, _, query, binding, record in ready:
+        for ingest_time, seq, query, binding, record in ready:
             if gated:
                 qid = query.query_id
                 if blocked is not None and blocked(query):
-                    deferred.append((query, binding, record))
+                    held.append((ingest_time, seq, query, binding, record))
                     continue
                 if check_stall and qid not in stalled:
                     stalled[qid] = query_stalled(query)
@@ -520,6 +535,8 @@ class Engine:
                 binding.watermarks_ingested += 1
             else:  # LatencyMarker
                 binding.channel.push(record, now)
+        for entry in held:
+            self._file(entry)
         if deferred:
             push = self._push_network
             retry_at = now + self.cycle_ms
@@ -641,21 +658,6 @@ class Engine:
                 used_total += used
         return used_total
 
-    def _run_allocation(self, alloc: Allocation, budget_ms: float) -> float:
-        """Run one query's (or pipeline prefix's) task threads for a slice.
-
-        The scheduled query's operator threads timeshare the granted
-        core-slice; fair sharing with redistribution rounds approximates
-        concurrent pipeline execution, with bottleneck operators absorbing
-        the budget that fast operators leave unused. Records produced
-        upstream in an early round reach downstream operators (and the
-        sink) within the same slice — end-to-end propagation, which is
-        what Klink's prioritization is designed to buy.
-        """
-        return self._fair_share_ops(
-            alloc.runnable_operators(), budget_ms, cap_per_op=self.cycle_ms
-        )
-
     # -- metrics ----------------------------------------------------------------
 
     def _drain_sink_metrics(self) -> None:
@@ -724,11 +726,11 @@ class Engine:
             self.lineage.finalize(self.clock.now)
         return self.metrics
 
-    def _apply_faults(self, now: float) -> bool:
-        """Apply the cycle's active fault episodes; True when node is down."""
+    def _apply_faults(self, now: float) -> FrozenSet[int]:
+        """Apply the cycle's active fault episodes; return the down nodes."""
         faults = self.faults
         if faults is None:
-            return False
+            return frozenset()
         self.memory.external_bytes = faults.extra_memory_bytes(now)
         if faults.has_slowdowns:
             for query in self.queries:
@@ -739,21 +741,24 @@ class Engine:
                     )
         if faults.active_at(now):
             self.metrics.fault_cycles += 1
-        return faults.node_down(0, now)
+        return frozenset(
+            node
+            for node in range(len(self.node_schedulers))
+            if faults.node_down(node, now)
+        )
 
     def step_cycle(self) -> None:
-        """Execute one scheduling cycle of ``cycle_ms``."""
+        """Execute one scheduling cycle of ``cycle_ms`` on every node."""
         self.clock.advance(self.cycle_ms)
-        # The calendar queue's cycle index advances with the clock even on
-        # cycles that skip delivery (node down): the next delivery pass
-        # drains every bucket <= the current index, so nothing is checked
-        # late.
+        # The calendar queue's cycle index advances with the clock on every
+        # cycle: each delivery pass drains every bucket <= the current
+        # index, so nothing is checked late.
         self._cal_cycle += 1  # klink: transient[relative bucket index; restore refiles buckets against it]
         now = self.clock.now
-        node_down = self._apply_faults(now)
+        down = self._apply_faults(now)
         if self.recovery is not None:
-            raw_down = frozenset((0,)) if node_down else frozenset()
-            node_down = 0 in self.recovery.on_cycle(self, raw_down, now)
+            down = self.recovery.on_cycle(self, down, now)
+        self._release_transfers(now)
         backpressured = self.memory.backpressured(self.queries) or self._throttle_requested
         if backpressured:
             self.metrics.backpressure_cycles += 1
@@ -763,83 +768,120 @@ class Engine:
         self._generate_until(now, shed_events=backpressured)
         if pp is not None:
             pp.lap("generate")
-        if node_down:
-            # The (single) node is failed: nothing is ingested or executed
-            # this cycle. Sources keep generating; their output ages in the
-            # network buffer and floods in at recovery.
-            plan = Plan([], mode="priority")
-            ctx = self._collect()
-            overhead = 0.0
-            used = 0.0
-            decisions: list = []
-        else:
-            self._deliver_ingestions(now, backpressured)
-            if pp is not None:
-                pp.lap("deliver")
-            ctx = self._collect()
-            plan = self.scheduler.plan(ctx)
+        # A down node ingests nothing: sources keep generating, and the
+        # traffic of queries whose source it hosts ages in the network
+        # buffer and floods in at recovery.
+        blocked = None
+        if down:
+            blocked = lambda query: self._source_node(query) in down
+        self._deliver_ingestions(now, backpressured, blocked)
+        if pp is not None:
+            pp.lap("deliver")
+        self._publish_info(now, down)
+        ctx = self._collect()
+        # Memory pressure (heap churn, GC) taxes the cycle's useful CPU.
+        tax = self.memory.pressure_tax(ctx.memory_utilization)
+        node_budget = self.cores_per_node * self.cycle_ms
+        audit = self.audit
+        # (node, scheduler, plan, decisions, cpu used, overhead) per node
+        records = []
+        planned = False
+        throttle = False
+        used_total = 0.0
+        overhead_total = 0.0
+        for node, scheduler in enumerate(self.node_schedulers):
+            if node in down:
+                # A down node runs neither its policy nor its tasks.
+                records.append(
+                    (node, scheduler, Plan([], mode="priority"), [], 0.0, 0.0)
+                )
+                continue
+            plan = scheduler.plan(ctx)
             # Explanations are captured at *plan* time: policies that rank
             # on live queue state (FCFS arrival, HR productivity) must be
             # read before execution drains the queues they ranked on.
             decisions = (
-                explain_with_fallback(self.scheduler, ctx, plan)
-                if self.audit is not None
+                explain_with_fallback(scheduler, ctx, plan)
+                if audit is not None
                 else []
             )
-            self._throttle_requested = plan.throttle_ingestion
-            overhead = plan.overhead_ms + self.scheduler.overhead_ms(ctx)
-            self.metrics.scheduler_overhead_ms += overhead
-            # Memory pressure (heap churn, GC) taxes the cycle's useful CPU.
-            tax = self.memory.pressure_tax(ctx.memory_utilization)
-            budget = max(0.0, (self.cores * self.cycle_ms - overhead) * (1.0 - tax))
+            planned = True
+            throttle = throttle or plan.throttle_ingestion
+            overhead = plan.overhead_ms + scheduler.overhead_ms(ctx)
+            budget = max(0.0, (node_budget - overhead) * (1.0 - tax))
             if pp is not None:
                 pp.lap("schedule")
-            used = self._execute_plan(plan, budget)
-            self.metrics.busy_cpu_ms += used
+            used = self._execute_plan(self._localize(plan, node), budget)
             if pp is not None:
                 pp.lap("execute")
+            used_total += used
+            overhead_total += overhead
+            records.append((node, scheduler, plan, decisions, used, overhead))
+        if planned:
+            self._throttle_requested = throttle
+        self.metrics.scheduler_overhead_ms += overhead_total
+        self.metrics.busy_cpu_ms += used_total
         self._drain_sink_metrics()
-        self._sample_utilization(used + overhead)
+        self._sample_utilization(used_total + overhead_total)
         cycle_index = self.metrics.cycles
         self.metrics.cycles += 1
         if self.invariants is not None:
             self.invariants.on_cycle(
-                self, plans=(plan,), cpu_used_ms=used + overhead
-            )
-        if self.tracer is not None:
-            self.tracer.on_cycle(
-                time=now,
-                memory_utilization=ctx.memory_utilization,
-                cpu_used_ms=used,
-                overhead_ms=overhead,
-                backpressured=backpressured,
-                plan=plan,
+                self,
+                plans=[plan for _, _, plan, _, _, _ in records],
+                cpu_used_ms=used_total + overhead_total,
             )
         if self.profiler is not None:
             self.profiler.on_cycle(self.queries)
         if self.telemetry is not None:
             self.telemetry.on_cycle(
-                self, now, cpu_used_ms=used, overhead_ms=overhead
+                self,
+                now,
+                cpu_used_ms=used_total,
+                overhead_ms=overhead_total,
+                node_cpu={
+                    node: (used, overhead)
+                    for node, _, _, _, used, overhead in records
+                },
             )
-        if self.audit is not None:
-            self.audit.on_cycle(
-                time=now,
-                cycle=cycle_index,
-                scheduler=self.scheduler,
-                ctx=ctx,
-                plan=plan,
-                backpressured=backpressured,
-                cpu_used_ms=used,
-                overhead_ms=overhead,
-                decisions=decisions,
-            )
+        if audit is not None:
+            # One record per node: each node's policy ranked the full
+            # query set independently (decentralized scheduling, Sec. 4).
+            for node, scheduler, plan, decisions, used, overhead in records:
+                audit.on_cycle(
+                    time=now,
+                    cycle=cycle_index,
+                    scheduler=scheduler,
+                    ctx=ctx,
+                    plan=plan,
+                    backpressured=backpressured,
+                    cpu_used_ms=used,
+                    overhead_ms=overhead,
+                    node=node,
+                    decisions=decisions,
+                )
         if self.checkpoints is not None:
-            self.checkpoints.maybe_checkpoint(
-                self, now, frozenset((0,)) if node_down else frozenset()
-            )
+            self.checkpoints.maybe_checkpoint(self, now, down)
         if pp is not None:
             pp.lap("drain")
             pp.cycle_end()
+
+    # -- placement and forwarding (nothing to do on a single node) ---------------
+
+    def _source_node(self, query: Query) -> int:
+        """Node hosting the query's source operator."""
+        return 0
+
+    def _localize(self, plan: Plan, node: int) -> Plan:
+        """Restrict a node's plan to the operators hosted on that node."""
+        return plan
+
+    def _release_transfers(self, now: float) -> None:
+        """Deliver cross-node records whose transfer completed by ``now``."""
+
+    def _publish_info(self, now: float, down_nodes: FrozenSet[int]) -> None:
+        """Publish each live node's delay and cost information to the
+        other nodes' schedulers."""
 
     def _on_standby_promotion(self, node: int, now: float) -> None:
         """Hook invoked by the RecoveryManager when a hot standby takes

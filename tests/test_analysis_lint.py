@@ -277,8 +277,8 @@ class TestDrivers:
         report = lint_paths([tmp_path])
         assert report.codes() == ["KL001"]
 
-    def test_default_allowlist_covers_tracing(self):
-        assert "KL001" in DEFAULT_FILE_ALLOWLIST["spe/tracing.py"]
+    def test_default_allowlist_covers_perf_harness(self):
+        assert "KL001" in DEFAULT_FILE_ALLOWLIST["bench/perf.py"]
         assert "KL006" in DEFAULT_FILE_ALLOWLIST["bench/perf.py"]
 
     def test_rules_table_matches_emitted_codes(self):

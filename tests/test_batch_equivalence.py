@@ -14,7 +14,9 @@ gate that pins that contract:
 * checkpoint/restore with RecordBatches in flight: a run that fails,
   restores from a checkpoint whose channels held coalesced batches, and
   resumes must still be byte-identical to the per-event run of the same
-  scenario (tier-1 smoke + chaos matrix).
+  scenario (tier-1 smoke + chaos matrix);
+* a 2-node split ``DistributedEngine``, whose cross-node channels never
+  coalesce while the node-local ones do.
 """
 
 import functools
@@ -28,6 +30,7 @@ from repro.bench.runner import (
     make_scheduler,
     run_experiment,
 )
+from repro.distributed import DistributedEngine, PhysicalPlan
 from repro.faults import FaultPlan, InvariantMonitor, NodeFailure
 from repro.resilience import CheckpointCoordinator, RecoveryConfig, RecoveryManager
 from repro.spe.engine import Engine
@@ -95,6 +98,32 @@ class TestTraceEquivalence:
         reference = trace_bytes(1)
         assert len(reference) > 0
         assert trace_bytes(64) == reference
+
+
+class TestDistributedBatchEquivalence:
+    @pytest.mark.parametrize("scheduler", ["Klink", "Default"])
+    def test_split_cluster_batch_8_equals_per_event(self, scheduler):
+        def run(batch_size):
+            queries = build_queries("ysb", 8, WorkloadParams(seed=5))
+            engine = DistributedEngine.with_policy(
+                queries,
+                PhysicalPlan.split(queries, 2, segments=2),
+                lambda: make_scheduler(scheduler),
+                cores_per_node=2,
+                rpc_latency_ms=100.0,
+                seed=5,
+                batch_size=batch_size,
+            )
+            metrics = engine.run(30_000.0)
+            return (
+                json.dumps(metrics.summary(), sort_keys=True),
+                metrics.swm_latencies,
+                metrics.marker_latencies,
+            )
+
+        reference = run(1)
+        assert reference[1], "the run produced no latency samples"
+        assert run(8) == reference
 
 
 def _failover_fingerprint(

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.bench.perf import CyclePhaseProfiler
 from repro.core.baselines import DefaultScheduler
 from repro.spe.engine import Engine
 from repro.distributed import (
@@ -14,6 +15,8 @@ from repro.distributed import (
     QueryInfo,
 )
 from repro.distributed.cluster import DistributedKlinkScheduler
+from repro.faults import FaultPlan, NodeFailure
+from repro.workloads import WorkloadParams, build_queries
 from tests.helpers import make_join_query, make_simple_query
 
 
@@ -196,6 +199,69 @@ class TestDistributedUnderStress:
         assert metrics.scheduler_overhead_ms > single_metrics.scheduler_overhead_ms
 
 
+class TestOneCycleLoop:
+    """The distributed engine runs Engine.step_cycle over its node set."""
+
+    @staticmethod
+    def ysb_cluster(n_nodes, **kwargs):
+        queries = build_queries("ysb", 8, WorkloadParams(seed=7))
+        plan = PhysicalPlan.locality(queries, n_nodes)
+        return DistributedEngine.with_policy(
+            queries, plan, DefaultScheduler, cores_per_node=4, seed=3, **kwargs
+        )
+
+    def test_source_node_outage_drops_no_late_events(self):
+        # Node 1's in-flight records are held in network order while it
+        # is down, so they still arrive ahead of the watermarks behind
+        # them (re-filing them behind newer traffic dropped ~42K events).
+        engine = self.ysb_cluster(
+            2, faults=FaultPlan([NodeFailure(10_000.0, 14_000.0, node=1)])
+        )
+        metrics = engine.run(30_000.0)
+        assert metrics.fault_cycles > 0
+        assert metrics.late_events_dropped == 0
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_one_node_cluster_equals_engine(self, faulted):
+        def faults():
+            if not faulted:
+                return None
+            return FaultPlan([NodeFailure(10_000.0, 14_000.0, node=0)])
+
+        cluster = self.ysb_cluster(1, faults=faults()).run(30_000.0)
+        queries = build_queries("ysb", 8, WorkloadParams(seed=7))
+        single = Engine(
+            queries, DefaultScheduler(), cores=4, seed=3, faults=faults()
+        ).run(30_000.0)
+        assert cluster.summary() == single.summary()
+        assert cluster.swm_latencies == single.swm_latencies
+
+    def test_down_node_gets_an_empty_audit_record(self):
+        from repro.obs import AuditLog
+
+        audit = AuditLog()
+        engine = self.ysb_cluster(
+            2,
+            audit=audit,
+            faults=FaultPlan([NodeFailure(1_000.0, 2_000.0, node=1)]),
+        )
+        metrics = engine.run(3_000.0)
+        assert len(audit) == 2 * metrics.cycles
+        down = [
+            r for r in audit.rows if r.node == 1 and 1_000.0 <= r.time < 2_000.0
+        ]
+        assert down
+        assert all(not r.decisions and r.cpu_used_ms == 0.0 for r in down)
+
+    def test_phase_profiler_laps_on_a_cluster(self):
+        engine = self.ysb_cluster(2)
+        profiler = CyclePhaseProfiler()
+        engine.phase_profiler = profiler
+        metrics = engine.run(3_000.0)
+        assert profiler.cycles == metrics.cycles
+        assert all(profiler.totals_ms[p] > 0.0 for p in profiler.PHASES)
+
+
 class TestSweepHelper:
     def test_sweep_returns_grid(self):
         from repro.bench.runner import ExperimentConfig, sweep
@@ -225,7 +291,7 @@ class TestDistributedObservability:
         )
         metrics = engine.run(5_000.0)
         nodes = {r.node for r in audit.rows}
-        assert nodes == {0, 1}  # one record per live node per cycle
+        assert nodes == {0, 1}  # one record per node per cycle
         assert len(audit) == 2 * metrics.cycles
         for record in audit.rows:
             assert record.policy == f"Klink@node{record.node}"
@@ -325,6 +391,7 @@ class TestDistributedTelemetry:
                 self.memory = self._Memory()
                 self.queries = []
                 self.scheduler = object()
+                self.node_schedulers = [self.scheduler, object(), object()]
 
         def rows(order):
             sampler = TelemetrySampler()

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.core.klink import KlinkScheduler
 from repro.obs import (
     Trace,
     chrome_trace_events,
@@ -17,12 +16,8 @@ from repro.obs.flame import (
     PID_OPERATORS,
     PID_SCHEDULER,
     PID_TELEMETRY,
-    trace_from_tracer,
 )
 from repro.obs.schema import SchemaError
-from repro.spe.engine import Engine
-from repro.spe.tracing import CycleTracer
-from tests.helpers import make_simple_query
 
 
 def sample_trace():
@@ -156,29 +151,6 @@ class TestWriteChromeTrace:
         write_chrome_trace(str(a), sample_trace())
         write_chrome_trace(str(b), sample_trace())
         assert a.read_bytes() == b.read_bytes()
-
-
-class TestTracerExport:
-    def test_cycle_tracer_to_chrome(self, tmp_path):
-        tracer = CycleTracer()
-        queries = [make_simple_query("q0", rate_eps=500.0)]
-        engine = Engine(queries, KlinkScheduler(), cores=2, cycle_ms=100.0,
-                        seed=1, tracer=tracer)
-        metrics = engine.run(3_000.0)
-        path = tmp_path / "flame.json"
-        tracer.to_chrome(str(path), cycle_ms=100.0)
-        payload = json.loads(path.read_text())
-        validate_chrome_trace(payload)
-        spans = [e for e in payload["traceEvents"] if e["ph"] == "X"]
-        assert len(spans) == metrics.cycles
-
-    def test_trace_from_tracer_maps_plan_mode(self):
-        trace = trace_from_tracer(
-            [{"time": 100.0, "plan_mode": "memory", "cpu_used_ms": 1.0}],
-            cycle_ms=100.0,
-        )
-        assert trace.cycles[0]["mode"] == "memory"
-        assert trace.meta["cycle_ms"] == 100.0
 
 
 def lineage_rows():

@@ -27,10 +27,12 @@ import pytest
 
 from repro.bench.runner import (
     ExperimentConfig,
+    make_scheduler,
     run_experiment,
     trace_from_result,
 )
 from repro.cli import main
+from repro.distributed import DistributedEngine, PhysicalPlan
 from repro.faults import FaultPlan, NodeFailure
 from repro.obs import (
     RECORD_STATUSES,
@@ -49,6 +51,7 @@ from repro.obs import (
 )
 from repro.obs.lineage import _Record
 from repro.resilience import capture_lineage, restore_lineage
+from repro.workloads import WorkloadParams, build_queries
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -173,6 +176,25 @@ class TestPureObserver:
             plain.metrics.checkpoint_bytes_last
             == sampled.metrics.checkpoint_bytes_last
         )
+
+    @pytest.mark.parametrize("scheduler", ["Klink", "Default"])
+    def test_distributed_summary_byte_identical(self, scheduler):
+        def summary(lineage):
+            queries = build_queries("ysb", 8, WorkloadParams(seed=5))
+            engine = DistributedEngine.with_policy(
+                queries,
+                PhysicalPlan.split(queries, 2, segments=2),
+                lambda: make_scheduler(scheduler),
+                cores_per_node=2,
+                rpc_latency_ms=100.0,
+                seed=5,
+                lineage=lineage,
+            )
+            return json.dumps(engine.run(30_000.0).summary(), sort_keys=True)
+
+        tracker = LineageTracker(0.05, seed=5)
+        assert summary(tracker) == summary(None)
+        assert tracker.lineage_rows()
 
     def test_rerun_reproduces_lineage(self):
         a = traced(rate=0.3)
