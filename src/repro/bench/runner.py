@@ -137,10 +137,6 @@ class ExperimentConfig:
     # recovery strategy for node failures (None keeps legacy semantics)
     checkpoint_period_ms: Optional[float] = None
     recover: Optional[str] = None  # "restart" | "standby" | "none"
-    # rows coalesced per channel queue entry (1 = per-event reference
-    # path); execution is byte-identical for every value, so this is a
-    # pure wall-clock knob and safe to default on
-    batch_size: int = 64
     # hash-based lineage sampling rate (0 = off). Tracing is a pure
     # observer: any rate leaves summaries, scheduler decisions, and
     # checkpoint bytes identical to an untraced run.
@@ -321,7 +317,6 @@ def run_experiment(
         checkpoints=checkpoints,
         recovery=recovery,
         validate=config.validate,
-        batch_size=config.batch_size,
         lineage=lineage,
     )
     if phase_profiler is not None:

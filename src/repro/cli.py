@@ -185,14 +185,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "--checkpoint-period 5000 unless one is given",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=64, metavar="N",
-        help="rows coalesced per channel queue entry (default 64); "
-             "1 selects the per-event reference path. Execution is "
-             "byte-identical for every value — summaries and traces "
-             "match batch-size 1 exactly — so this only trades memory "
-             "for simulation wall-clock",
-    )
-    parser.add_argument(
         "--lineage-sample-rate", type=float, default=0.0, metavar="RATE",
         help="trace a deterministic hash-sampled fraction of records "
              "end-to-end (network/queue/execute/window/emit latency "
@@ -259,7 +251,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace_path=args.trace,
         checkpoint_period_ms=args.checkpoint_period,
         recover=args.recover,
-        batch_size=args.batch_size,
         lineage_sample_rate=args.lineage_sample_rate,
         **_telemetry_fields(args),
     )
@@ -299,7 +290,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         validate=not args.no_validate,
         checkpoint_period_ms=args.checkpoint_period,
         recover=args.recover,
-        batch_size=args.batch_size,
         lineage_sample_rate=args.lineage_sample_rate,
         **_telemetry_fields(args),
     )

@@ -464,7 +464,7 @@ class LineageTracker:
         channel: "Channel",
         now: float,
     ) -> None:
-        """``op`` fully consumed a queued row/batch ``[t_start, t_end)``."""
+        """``op`` fully consumed a queued batch ``[t_start, t_end)``."""
         info = self._ops.get(id(op))
         if info is None:
             return

@@ -37,7 +37,7 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional
 
-from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
+from repro.spe.events import EventBatch, LatencyMarker, Watermark
 from repro.spe.metrics import RunMetrics, UtilizationSample
 from repro.spe.operators import (
     CountWindowedAggregate,
@@ -60,15 +60,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.spe.engine import Engine
 
 #: checkpoint schema version; bumped on any incompatible layout change
-#: (v2: channels may hold in-flight columnar RecordBatch runs, tag "rb";
+#: (v2: channels may hold in-flight columnar row runs, tag "rb";
 #: v3: a lineage sidecar — capture_lineage/restore_lineage — may ride
 #: alongside a snapshot in the store, never inside the snapshot itself;
 #: v4: the in-flight network is captured through the engine's layout
 #: helpers — the vectorized calendar queue and the scalar heap flatten
 #: to the identical canonical (ingest_time, seq)-sorted list, and
 #: restore loads into whichever layout the engine runs;
-#: v5: latency markers carry no id — a marker is its creation time)
-SCHEMA_VERSION = 5
+#: v5: latency markers carry no id — a marker is its creation time;
+#: v6: the columnar row runs are gone — every channel entry holds one
+#: record, and the "rb" tag no longer exists)
+SCHEMA_VERSION = 6
 
 #: RunMetrics scalar fields captured verbatim (the resilience counters —
 #: checkpoints taken, recoveries, lost events — are deliberately absent:
@@ -140,19 +142,6 @@ def _encode_record(record: object) -> Dict[str, Any]:
         }
     if isinstance(record, LatencyMarker):
         return {"t": "m", "at": record.created_at}
-    if isinstance(record, RecordBatch):
-        # Unconsumed rows only (the consumed prefix before ``head`` is
-        # dead state); restore rebases head to 0 with identical columns.
-        h = record.head
-        return {
-            "t": "rb",
-            "counts": record.counts[h:],
-            "t_starts": record.t_starts[h:],
-            "t_ends": record.t_ends[h:],
-            "delays": record.delays[h:],
-            "enq": record.enqueued_ats[h:],
-            "bpe": record.bytes_per_event,
-        }
     raise CheckpointError(f"unknown record type: {type(record)!r}")
 
 
@@ -170,14 +159,6 @@ def _decode_record(state: Dict[str, Any]) -> object:
         return Watermark(state["ts"], source_id=state["src"], is_swm=state["swm"])
     if kind == "m":
         return LatencyMarker(created_at=state["at"])
-    if kind == "rb":
-        rb = RecordBatch(state["bpe"])
-        rb.counts = [float(v) for v in state["counts"]]
-        rb.t_starts = [float(v) for v in state["t_starts"]]
-        rb.t_ends = [float(v) for v in state["t_ends"]]
-        rb.delays = [float(v) for v in state["delays"]]
-        rb.enqueued_ats = [float(v) for v in state["enq"]]
-        return rb
     raise CheckpointError(f"unknown record tag: {kind!r}")
 
 

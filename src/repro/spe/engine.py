@@ -56,7 +56,13 @@ from repro.spe.simtime import VirtualClock
 
 
 class Engine:
-    """Runs a set of queries under a scheduling policy on one node."""
+    """Runs a set of queries under a scheduling policy over a node set.
+
+    A plain ``Engine`` is a 1-node placement; ``node_schedulers`` holds
+    one policy instance per node, and subclasses such as
+    :class:`~repro.distributed.cluster.DistributedEngine` place the
+    operators on more nodes.
+    """
 
     def __init__(
         self,
@@ -76,7 +82,6 @@ class Engine:
         recovery=None,
         lineage=None,
         validate: bool = True,
-        batch_size: int = 1,
     ) -> None:
         if cores < 1:
             raise ValueError(f"need at least one core: {cores}")
@@ -84,24 +89,7 @@ class Engine:
             raise ValueError(f"cycle must be positive: {cycle_ms}")
         if not queries:
             raise ValueError("engine needs at least one query")
-        if batch_size < 1:
-            raise ValueError(f"batch size must be >= 1: {batch_size}")
         self.queries = list(queries)
-        #: rows coalesced per channel queue entry (1 = per-event mode).
-        #: All payload channels carry columnar RecordBatch runs instead of
-        #: individual EventBatch entries. Single-input operators drain a
-        #: run's rows within one budget-loop turn; multi-input (join)
-        #: operators consume exactly one row per round-robin turn, which
-        #: replicates the per-event entry granularity their budget split
-        #: depends on. Execution is byte-identical for every batch size
-        #: (the batch_size=1-vs-N equality gate in tests and CI enforces
-        #: it).
-        self.batch_size = int(batch_size)
-        if self.batch_size > 1:
-            for query in self.queries:
-                for op in query.operators:
-                    for channel in op.inputs:
-                        channel.batch_size = self.batch_size
         if validate:
             # Fail fast on misconfigured plans (cycles, keyless keyed
             # windows, watermark-less event-time windows, ...) before a
@@ -497,22 +485,7 @@ class Engine:
                 is_payload = type(record) is EventBatch
             progress = binding.progress
             if is_payload:
-                # Inlined Channel.push dispatch for the common case: a
-                # zero-latency coalescing channel routes EventBatch pushes
-                # straight to push_row with the same arguments push would
-                # forward, skipping one call and one isinstance per batch.
-                ch = binding.channel
-                if ch.batch_size > 1 and ch.latency_ms == 0.0:
-                    ch.push_row(
-                        record.count,
-                        record.t_start,
-                        record.t_end,
-                        record.delay,
-                        record.bytes_per_event,
-                        now,
-                    )
-                else:
-                    ch.push(record, now)
+                binding.channel.push(record, now)
                 binding.events_ingested += record.count
                 if progress is not None:
                     progress.observe_delay(record.delay, record.count)

@@ -121,87 +121,6 @@ class EventBatch:
         )
 
 
-class RecordBatch:
-    """A columnar run of :class:`EventBatch` rows coalesced in a queue.
-
-    When a channel runs with ``batch_size > 1``, consecutive payload
-    pushes are appended as *rows* of one ``RecordBatch`` instead of
-    individual queue entries: parallel columns hold each row's count,
-    event-time interval, and network delay, plus the engine time at which
-    the row was enqueued. Operators drain rows in order with exactly the
-    per-row arithmetic of the per-event path (the batch_size=1-vs-N
-    equivalence gate holds byte-for-byte); the win is purely constant
-    overhead — one queue entry, one dispatch, and one budget-loop round
-    amortized over the run.
-
-    Control records (watermarks, latency markers) are never coalesced,
-    and a control push seals the current tail batch, so FIFO order across
-    record kinds is preserved exactly.
-
-    ``head`` indexes the first unconsumed row: partially drained batches
-    advance it instead of shifting the columns.
-    """
-
-    __slots__ = (
-        "counts",
-        "t_starts",
-        "t_ends",
-        "delays",
-        "enqueued_ats",
-        "bytes_per_event",
-        "head",
-    )
-
-    def __init__(self, bytes_per_event: int = 100) -> None:
-        self.counts: list = []
-        self.t_starts: list = []
-        self.t_ends: list = []
-        self.delays: list = []
-        self.enqueued_ats: list = []
-        self.bytes_per_event = int(bytes_per_event)
-        self.head = 0
-
-    def append_row(
-        self,
-        count: float,
-        t_start: float,
-        t_end: float,
-        delay: float,
-        enqueued_at: float,
-    ) -> None:
-        self.counts.append(count)
-        self.t_starts.append(t_start)
-        self.t_ends.append(t_end)
-        self.delays.append(delay)
-        self.enqueued_ats.append(enqueued_at)
-
-    @property
-    def n_rows(self) -> int:
-        """Unconsumed rows remaining."""
-        return len(self.counts) - self.head
-
-    @property
-    def count(self) -> float:
-        """Total payload events across unconsumed rows (diagnostics)."""
-        return sum(self.counts[self.head:])
-
-    def row_batch(self, index: int) -> "EventBatch":
-        """Materialize one row as a standalone :class:`EventBatch`."""
-        return EventBatch(
-            count=self.counts[index],
-            t_start=self.t_starts[index],
-            t_end=self.t_ends[index],
-            delay=self.delays[index],
-            bytes_per_event=self.bytes_per_event,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"RecordBatch(rows={self.n_rows}, events={self.count:.0f}, "
-            f"bpe={self.bytes_per_event})"
-        )
-
-
 class Watermark:
     """Progress event: no event with event-time ``<= timestamp`` follows.
 
@@ -278,14 +197,4 @@ class LatencyMarker:
         return f"LatencyMarker(created_at={self.created_at!r})"
 
 
-Record = object  # EventBatch | RecordBatch | Watermark | LatencyMarker
-
-
-def is_data(record: object) -> bool:
-    """True for payload-bearing records (batches)."""
-    return isinstance(record, (EventBatch, RecordBatch))
-
-
-def is_control(record: object) -> bool:
-    """True for control records (watermarks and latency markers)."""
-    return isinstance(record, (Watermark, LatencyMarker))
+Record = object  # EventBatch | Watermark | LatencyMarker

@@ -29,7 +29,7 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
+from repro.spe.events import EventBatch, LatencyMarker, Watermark
 from repro.spe.streams import Channel, _Entry
 from repro.spe.windows import Pane, WindowAssigner
 
@@ -217,16 +217,9 @@ class Operator:
                 grant = min(share, budget_ms - used)
                 if grant <= _MIN_BUDGET_MS:
                     break
-                entry = channel.peek()
+                entry = channel.pop()
                 if entry is None:
                     continue
-                if type(entry.record) is RecordBatch:
-                    used += self._consume_rows(
-                        entry, channel, grant, 0.0, now, one_row=True
-                    )
-                    progressed = True
-                    continue
-                channel.pop()
                 used += self._dispatch(
                     entry.record, channel, entry.enqueued_at, grant, now
                 )
@@ -236,135 +229,20 @@ class Operator:
     def _drain(
         self, channel: Channel, budget_ms: float, used: float, now: float
     ) -> float:
-        """Drain the one input holding records within the budget; returns
-        the updated ``used``. Whole row runs go to :meth:`_consume_rows`;
-        other records are popped and dispatched one by one."""
+        """Drain the one input holding records within the budget,
+        popping and dispatching one record at a time; returns the updated
+        ``used``."""
         entries = channel._entries
         while budget_ms - used > _MIN_BUDGET_MS and entries:
-            entry = entries[0]
-            record = entry.record
-            if type(record) is RecordBatch:
-                used = self._consume_rows(entry, channel, budget_ms, used, now)
-                continue
-            # Channel.pop inlined: the head entry is already in hand, and
-            # control records (the common case here) need no payload
+            # Channel.pop inlined: control records need no payload
             # accounting.
-            entries.popleft()
+            entry = entries.popleft()
+            record = entry.record
             if type(record) is EventBatch:
                 channel._pop_batch_accounting(record)
             used += self._dispatch(
                 record, channel, entry.enqueued_at, budget_ms - used, now
             )
-        return used
-
-    def _consume_rows(
-        self,
-        entry: object,
-        channel: Channel,
-        budget_ms: float,
-        used: float,
-        now: float,
-        one_row: bool = False,
-    ) -> float:
-        """Drain rows of the head :class:`RecordBatch` within the budget.
-
-        Replays, row by row, the exact arithmetic the per-event path
-        performs — grant recomputation (`budget - used` per row), the
-        full-vs-partial cost split of :meth:`_consume_batch`, and the
-        channel pop / push_front accounting sequence — so every float the
-        scheduler or the invariant monitor can observe is byte-identical
-        to ``batch_size=1`` execution. ``one_row`` stops after the head
-        row: a multi-input operator's round-robin turn pops one queued
-        record per channel, and the cap replicates that granularity (and
-        thus the budget split). Returns the updated ``used``.
-        """
-        rb = entry.record
-        counts = rb.counts
-        n = len(counts)
-        bpe = rb.bytes_per_event
-        cpe = self.cost_per_event_ms
-        mult = self.cost_multiplier
-        stats = self.stats
-        input_index = channel._consumer_index
-        on_row = self._on_row
-        lineage = self.lineage
-        # Channel accounting hoisted into locals: the same additions in
-        # the same order, written back after the loop. _on_row never
-        # touches its own input channel's accounting (outputs are a
-        # different channel; the topology is acyclic), so no reader can
-        # observe the intermediate values.
-        q_events = channel._queued_events
-        q_bytes = channel._queued_bytes
-        popped = channel.events_popped
-        ev_in = stats.events_in
-        busy = stats.busy_ms
-        i = rb.head
-        stop = i + 1 if one_row else n
-        while i < stop:
-            grant = budget_ms - used
-            if grant <= _MIN_BUDGET_MS:
-                break
-            count = counts[i]
-            full_cost = count * cpe * mult
-            if full_cost <= grant or cpe == 0.0:
-                # Pop accounting for the whole row, then process it —
-                # the order of Channel.pop followed by _consume_batch.
-                q_events -= count
-                q_bytes -= count * bpe
-                popped += count
-                if q_events < 1e-9:
-                    q_events = 0.0
-                if q_bytes < 1e-6:
-                    q_bytes = 0.0
-                ev_in += count
-                busy += full_cost
-                on_row(rb, i, count, input_index, now)
-                if lineage is not None:
-                    lineage.on_consumed(
-                        self, rb.t_starts[i], rb.t_ends[i],
-                        rb.enqueued_ats[i], channel, now,
-                    )
-                used += full_cost
-                i += 1
-                continue
-            # Budget covers only part of the row: process the affordable
-            # fraction and leave the remainder as the new head row (the
-            # pop + push_front sequence of the per-event path).
-            fraction = grant / full_cost
-            head_count = count * fraction
-            tail_count = count * (1.0 - fraction)
-            q_events -= count
-            q_bytes -= count * bpe
-            popped += count
-            if q_events < 1e-9:
-                q_events = 0.0
-            if q_bytes < 1e-6:
-                q_bytes = 0.0
-            ev_in += head_count
-            busy += grant
-            on_row(rb, i, head_count, input_index, now)
-            used += grant
-            if tail_count > 0:
-                q_events += tail_count
-                q_bytes += tail_count * bpe
-                channel.events_returned += tail_count
-                counts[i] = tail_count
-            else:  # pragma: no cover - zero-mass remainder
-                i += 1
-            break
-        channel._queued_events = q_events
-        channel._queued_bytes = q_bytes
-        channel.events_popped = popped
-        stats.events_in = ev_in
-        stats.busy_ms = busy
-        rb.head = i
-        if i >= n:
-            channel.discard_head()
-        else:
-            # The first unconsumed row's arrival defines head_arrival,
-            # exactly as the per-event queue's next entry would.
-            entry.enqueued_at = rb.enqueued_ats[i]
-        self._queues_dirty = True
         return used
 
     def _dispatch(
@@ -376,7 +254,7 @@ class Operator:
         now: float,
     ) -> float:
         # Exact-type checks: queue records are exactly EventBatch,
-        # RecordBatch (handled by the callers), Watermark, or LatencyMarker.
+        # Watermark, or LatencyMarker.
         if type(record) is EventBatch:
             return self._consume_batch(record, channel, enqueued_at, budget_ms, now)
         if type(record) is Watermark:
@@ -438,35 +316,6 @@ class Operator:
                 now,
             )
 
-    def _on_row(
-        self,
-        rb: RecordBatch,
-        index: int,
-        count: float,
-        input_index: int,
-        now: float,
-    ) -> None:
-        """Handle one row of a coalesced batch carrying ``count`` events.
-
-        The base implementation materializes the row as an
-        :class:`EventBatch` and defers to :meth:`_on_batch`, so any
-        subclass that only overrides ``_on_batch`` (reorder buffers,
-        watermark generators, user operators) stays correct under
-        batching. Performance-critical leaf operators override this with
-        an allocation-free equivalent.
-        """
-        self._on_batch(
-            EventBatch(
-                count=count,
-                t_start=rb.t_starts[index],
-                t_end=rb.t_ends[index],
-                delay=rb.delays[index],
-                bytes_per_event=rb.bytes_per_event,
-            ),
-            input_index,
-            now,
-        )
-
     def _on_watermark(self, wm: Watermark, input_index: int, now: float) -> None:
         self._emit(wm, now)
 
@@ -475,19 +324,7 @@ class Operator:
         if type(record) is EventBatch:
             self.stats.events_out += record.count
             if output is not None:
-                if output.batch_size > 1 and output.latency_ms == 0.0:
-                    # Coalescing channel: append the columns directly —
-                    # the same accounting Channel.push would route to.
-                    output.push_row(
-                        record.count,
-                        record.t_start,
-                        record.t_end,
-                        record.delay,
-                        record.bytes_per_event,
-                        now,
-                    )
-                else:
-                    output.push(record, now)
+                output.push(record, now)
         elif output is not None:
             # Control record (watermark/marker): Channel.push inlined —
             # no payload accounting, just the entry append (or the
@@ -501,39 +338,7 @@ class Operator:
         return f"{type(self).__name__}({self.name!r})"
 
 
-class _StatelessRowFastPath:
-    """Allocation-free ``_on_row`` for operators using the base ``_on_batch``.
-
-    Mirrors ``Operator._on_batch`` + ``_emit`` exactly (same expressions,
-    same order) but emits through :meth:`Channel.push_row` instead of
-    constructing an intermediate :class:`EventBatch`. Only safe for
-    classes that do NOT override ``_on_batch``.
-    """
-
-    def _on_row(
-        self,
-        rb: RecordBatch,
-        index: int,
-        count: float,
-        input_index: int,
-        now: float,
-    ) -> None:
-        out_count = count * self.selectivity  # type: ignore[attr-defined]
-        if out_count > 0:
-            self.stats.events_out += out_count  # type: ignore[attr-defined]
-            output = self.output  # type: ignore[attr-defined]
-            if output is not None:
-                output.push_row(
-                    out_count,
-                    rb.t_starts[index],
-                    rb.t_ends[index],
-                    rb.delays[index],
-                    self.out_bytes_per_event,  # type: ignore[attr-defined]
-                    now,
-                )
-
-
-class MapOperator(_StatelessRowFastPath, Operator):
+class MapOperator(Operator):
     """One-to-one transformation (projection, enrichment, parsing)."""
 
     def __init__(self, name: str, cost_per_event_ms: float, out_bytes_per_event: int = 100):
@@ -541,7 +346,7 @@ class MapOperator(_StatelessRowFastPath, Operator):
                          out_bytes_per_event=out_bytes_per_event)
 
 
-class FilterOperator(_StatelessRowFastPath, Operator):
+class FilterOperator(Operator):
     """Drops a fraction of events: selectivity < 1."""
 
     def __init__(
@@ -557,7 +362,7 @@ class FilterOperator(_StatelessRowFastPath, Operator):
                          out_bytes_per_event=out_bytes_per_event)
 
 
-class FlatMapOperator(_StatelessRowFastPath, Operator):
+class FlatMapOperator(Operator):
     """One-to-many transformation: selectivity may exceed 1."""
 
     def __init__(
@@ -571,7 +376,7 @@ class FlatMapOperator(_StatelessRowFastPath, Operator):
                          out_bytes_per_event=out_bytes_per_event)
 
 
-class KeyByOperator(_StatelessRowFastPath, Operator):
+class KeyByOperator(Operator):
     """Key-partitioning marker (Flink's ``keyBy``).
 
     Declares the key selector under which downstream keyed windows group
@@ -692,23 +497,11 @@ class _WindowedOperatorBase(Operator):
     # -- record handlers -----------------------------------------------------------
 
     def _on_batch(self, batch: EventBatch, input_index: int, now: float) -> None:
-        self._assign(input_index, batch.t_start, batch.t_end, batch.count)
-
-    def _on_row(
-        self,
-        rb: "RecordBatch",
-        index: int,
-        count: float,
-        input_index: int,
-        now: float,
-    ) -> None:
-        self._assign(input_index, rb.t_starts[index], rb.t_ends[index], count)
-
-    def _assign(
-        self, input_index: int, t_start: float, t_end: float, count: float
-    ) -> None:
-        """Add ``count`` events spread over ``[t_start, t_end]`` to their
-        panes, dropping the mass behind the input's watermark."""
+        """Add the batch's events, spread over ``[t_start, t_end]``, to
+        their panes, dropping the mass behind the input's watermark."""
+        t_start = batch.t_start
+        t_end = batch.t_end
+        count = batch.count
         clock = self._input_watermarks[input_index]
         if t_end <= clock:
             # Entirely late: every event precedes the stream's watermark.
@@ -930,20 +723,7 @@ class CountWindowedAggregate(Operator):
         return self._accumulated * self.state_bytes_per_event
 
     def _on_batch(self, batch: EventBatch, input_index: int, now: float) -> None:
-        self._accumulate(batch.count, batch.t_end, now)
-
-    def _on_row(
-        self,
-        rb: RecordBatch,
-        index: int,
-        count: float,
-        input_index: int,
-        now: float,
-    ) -> None:
-        self._accumulate(count, rb.t_ends[index], now)
-
-    def _accumulate(self, count: float, last_t: float, now: float) -> None:
-        self._accumulated += count
+        self._accumulated += batch.count
         while self._accumulated >= self.size:
             self._accumulated -= self.size
             self.windows_fired += 1
@@ -951,8 +731,8 @@ class CountWindowedAggregate(Operator):
                 self._emit(
                     EventBatch(
                         count=self.output_events_per_window,
-                        t_start=last_t,
-                        t_end=last_t,
+                        t_start=batch.t_end,
+                        t_end=batch.t_end,
                         delay=0.0,
                         bytes_per_event=self.out_bytes_per_event,
                     ),
@@ -980,16 +760,6 @@ class SinkOperator(Operator):
 
     def _on_batch(self, batch: EventBatch, input_index: int, now: float) -> None:
         self.events_delivered += batch.count
-
-    def _on_row(
-        self,
-        rb: RecordBatch,
-        index: int,
-        count: float,
-        input_index: int,
-        now: float,
-    ) -> None:
-        self.events_delivered += count
 
     def _on_watermark(self, wm: Watermark, input_index: int, now: float) -> None:
         if wm.is_swm:

@@ -5,16 +5,9 @@ to its first operator). It tracks the aggregate statistics the schedulers
 consume: number of queued events, queued bytes, and the engine-clock time
 at which the head record arrived (FCFS orders queries by this).
 
-Batched mode
-------------
-With ``batch_size > 1`` a channel coalesces consecutive payload pushes
-into columnar :class:`~repro.spe.events.RecordBatch` entries of up to
-``batch_size`` rows. Control records are never merged and seal the tail
-batch, so FIFO order across record kinds is exact. All aggregate
-accounting is applied *per row* in push order — the same float-add
-sequence the per-event path performs — so queue statistics (and thus
-every scheduler decision derived from them) are byte-identical whatever
-the batch size.
+Every queue entry holds exactly one record: an
+:class:`~repro.spe.events.EventBatch` of payload, a watermark, or a
+latency marker.
 """
 
 from __future__ import annotations
@@ -22,11 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Iterator, Optional
 
-from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
-
-#: rows a partially drained tail batch may accumulate before its consumed
-#: prefix is compacted away (purely a memory bound; never observable)
-_COMPACT_THRESHOLD = 256
+from repro.spe.events import EventBatch
 
 
 class _Entry:
@@ -43,8 +32,7 @@ class Channel:
     A channel whose endpoints live on different nodes carries a transfer
     ``latency_ms``: pushed records stay in a pending buffer until the
     engine calls :meth:`release` once the latency has elapsed (the RPC /
-    network hop of a distributed deployment, Sec. 4). Latency channels
-    never coalesce (each record is an independent transfer).
+    network hop of a distributed deployment, Sec. 4).
     """
 
     def __init__(
@@ -54,9 +42,6 @@ class Channel:
             raise ValueError(f"negative channel latency: {latency_ms}")
         self.name = name
         self.latency_ms = latency_ms
-        #: payload rows coalesced per queue entry (1 = per-event mode);
-        #: set by the engine at wiring time for single-input consumers.
-        self.batch_size = 1
         #: consuming operator (if any); its memoized queue aggregates are
         #: invalidated whenever this channel's payload accounting changes.
         self._owner = owner
@@ -81,16 +66,6 @@ class Channel:
             self._pending.append(_Entry(record, now + self.latency_ms))
             return
         if isinstance(record, EventBatch):
-            if self.batch_size > 1:
-                self.push_row(
-                    record.count,
-                    record.t_start,
-                    record.t_end,
-                    record.delay,
-                    record.bytes_per_event,
-                    now,
-                )
-                return
             self._entries.append(_Entry(record, now))
             self._queued_events += record.count
             self._queued_bytes += record.bytes
@@ -109,39 +84,8 @@ class Channel:
         bytes_per_event: int,
         now: float,
     ) -> None:
-        """Enqueue one payload row, coalescing into the tail batch.
-
-        The fast emission path in batched mode: appends columns directly
-        instead of constructing an :class:`EventBatch`. Falls back to a
-        per-event push when this channel does not coalesce.
-        """
-        if self.batch_size > 1 and self.latency_ms == 0.0:
-            entries = self._entries
-            tail = entries[-1].record if entries else None
-            if (
-                type(tail) is RecordBatch
-                and tail.bytes_per_event == bytes_per_event
-                and len(tail.counts) - tail.head < self.batch_size
-            ):
-                if tail.head > _COMPACT_THRESHOLD:
-                    h = tail.head
-                    del tail.counts[:h]
-                    del tail.t_starts[:h]
-                    del tail.t_ends[:h]
-                    del tail.delays[:h]
-                    del tail.enqueued_ats[:h]
-                    tail.head = 0
-                tail.append_row(count, t_start, t_end, delay, now)
-            else:
-                batch = RecordBatch(bytes_per_event)
-                batch.append_row(count, t_start, t_end, delay, now)
-                self._entries.append(_Entry(batch, now))
-            self._queued_events += count
-            self._queued_bytes += count * bytes_per_event
-            self.events_pushed += count
-            if self._owner is not None:
-                self._owner._queues_dirty = True
-            return
+        """Enqueue one payload row as an :class:`EventBatch`."""
+        # Kept only because perfbench/layers.py wraps it by name.
         self.push(
             EventBatch(
                 count=count,
@@ -187,44 +131,19 @@ class Channel:
         entry = self._entries.popleft()
         record = entry.record
         if isinstance(record, EventBatch):
-            self._queued_events -= record.count
-            self._queued_bytes -= record.bytes
-            self.events_popped += record.count
-            # Guard against float drift accumulating into negatives.
-            if self._queued_events < 1e-9:
-                self._queued_events = 0.0
-            if self._queued_bytes < 1e-6:
-                self._queued_bytes = 0.0
-            if self._owner is not None:
-                self._owner._queues_dirty = True
-        elif isinstance(record, RecordBatch):
-            # Row-by-row accounting in row order: the same float sequence
-            # popping the rows as individual entries would produce.
-            bpe = record.bytes_per_event
-            for i in range(record.head, len(record.counts)):
-                count = record.counts[i]
-                self._queued_events -= count
-                self._queued_bytes -= count * bpe
-                self.events_popped += count
-                if self._queued_events < 1e-9:
-                    self._queued_events = 0.0
-                if self._queued_bytes < 1e-6:
-                    self._queued_bytes = 0.0
-            if self._owner is not None:
-                self._owner._queues_dirty = True
+            self._pop_batch_accounting(record)
         return entry
 
     def _pop_batch_accounting(self, record: EventBatch) -> None:
-        """Payload accounting of :meth:`pop`'s EventBatch branch.
+        """Payload accounting for a dequeued :class:`EventBatch`.
 
-        The operator step loops inline the popleft itself (the head entry
-        is already in hand) and call this only when the popped record
-        carries payload — the same statements :meth:`pop` runs, in the
-        same order.
+        The operator drain loop pops the head entry itself (it is already
+        in hand) and calls this only when the record carries payload.
         """
         self._queued_events -= record.count
         self._queued_bytes -= record.bytes
         self.events_popped += record.count
+        # Guard against float drift accumulating into negatives.
         if self._queued_events < 1e-9:
             self._queued_events = 0.0
         if self._queued_bytes < 1e-6:
@@ -235,15 +154,6 @@ class Channel:
     def peek(self) -> Optional[_Entry]:
         """Return (without removing) the head entry, or ``None``."""
         return self._entries[0] if self._entries else None
-
-    def discard_head(self) -> None:
-        """Remove the head entry without payload accounting.
-
-        Used by the batched consume path once every row of the head
-        :class:`RecordBatch` has been drained (row accounting already
-        applied as each row was consumed).
-        """
-        self._entries.popleft()
 
     # -- introspection -----------------------------------------------------
 
@@ -285,17 +195,6 @@ class Channel:
         """Engine time at which the oldest queued record arrived."""
         return self._entries[0].enqueued_at if self._entries else None
 
-    def oldest_event_arrival(self) -> Optional[float]:
-        """Arrival time of the oldest queued *payload* record, if any."""
-        for entry in self._entries:
-            if isinstance(entry.record, (EventBatch, RecordBatch, LatencyMarker)):
-                return entry.enqueued_at
-        return None
-
-    def has_watermark(self) -> bool:
-        """True when at least one watermark is queued."""
-        return any(isinstance(e.record, Watermark) for e in self._entries)
-
     def clear(self) -> None:
         """Drop all queued records (used by tests and teardown)."""
         # Dropped records count as consumed so the cumulative flow
@@ -304,9 +203,6 @@ class Channel:
             record = entry.record
             if isinstance(record, EventBatch):
                 self.events_popped += record.count
-            elif isinstance(record, RecordBatch):
-                for i in range(record.head, len(record.counts)):
-                    self.events_popped += record.counts[i]
         self._entries.clear()
         self._queued_events = 0.0
         self._queued_bytes = 0.0

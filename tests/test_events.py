@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.spe.events import (
-    EventBatch,
-    LatencyMarker,
-    Watermark,
-    is_control,
-    is_data,
-)
+from repro.spe.events import EventBatch, LatencyMarker, Watermark
 
 
 class TestEventBatch:
@@ -79,13 +73,3 @@ class TestLatencyMarker:
             "LatencyMarker(created_at=5.0)"
         )
 
-
-class TestKindPredicates:
-    def test_batch_is_data(self):
-        assert is_data(EventBatch(count=1, t_start=0, t_end=1))
-        assert not is_control(EventBatch(count=1, t_start=0, t_end=1))
-
-    def test_watermark_and_marker_are_control(self):
-        assert is_control(Watermark(0.0))
-        assert is_control(LatencyMarker(created_at=0.0))
-        assert not is_data(Watermark(0.0))

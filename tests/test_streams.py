@@ -57,6 +57,23 @@ class TestAccounting:
         assert ch.queued_bytes == 0
         assert len(ch) == 2
 
+    def test_push_row_enqueues_one_batch_like_push(self):
+        rowed = Channel()
+        rowed.push_row(10.0, 0.0, 100.0, 3.0, 50, now=1.0)
+        pushed = Channel()
+        pushed.push(
+            EventBatch(count=10.0, t_start=0.0, t_end=100.0, delay=3.0,
+                       bytes_per_event=50),
+            now=1.0,
+        )
+        assert len(rowed) == 1
+        entry = rowed.peek()
+        assert type(entry.record) is EventBatch
+        assert entry.enqueued_at == 1.0
+        assert rowed.queued_events == pushed.queued_events == 10.0
+        assert rowed.queued_bytes == pushed.queued_bytes == 500.0
+        assert rowed.events_pushed == pushed.events_pushed == 10.0
+
     def test_pop_releases_accounting(self):
         ch = Channel()
         ch.push(batch(count=10), 0.0)
@@ -78,23 +95,6 @@ class TestIntrospection:
         assert ch.head_arrival is None
         ch.push(batch(), 17.0)
         assert ch.head_arrival == 17.0
-
-    def test_oldest_event_arrival_skips_watermarks(self):
-        ch = Channel()
-        ch.push(Watermark(0.0), 5.0)
-        ch.push(batch(), 9.0)
-        assert ch.oldest_event_arrival() == 9.0
-
-    def test_oldest_event_arrival_counts_markers(self):
-        ch = Channel()
-        ch.push(LatencyMarker(created_at=0.0), 3.0)
-        assert ch.oldest_event_arrival() == 3.0
-
-    def test_has_watermark(self):
-        ch = Channel()
-        assert not ch.has_watermark()
-        ch.push(Watermark(1.0), 0.0)
-        assert ch.has_watermark()
 
     def test_bool_reflects_emptiness(self):
         ch = Channel()
