@@ -18,7 +18,13 @@ engine must leave byte-identical:
 
 It refuses to overwrite an existing fixture unless the checkpoint schema
 version changed: a change that alters the outputs without changing the
-snapshot layout is a behaviour change, not a refresh.
+snapshot layout is a behaviour change, not a refresh. A new cell is
+recorded with::
+
+    PYTHONPATH=src python -m tests.golden --add
+
+which captures only the cells the fixture lacks and keeps every existing
+record as it is.
 """
 
 from __future__ import annotations
@@ -53,6 +59,8 @@ from repro.faults import (
     WatermarkDrop,
     WatermarkStraggler,
 )
+from repro.obs import AuditLog, OperatorProfiler, TelemetrySampler
+from repro.obs.export import dumps_line
 from repro.resilience.checkpoint import SCHEMA_VERSION, capture, serialize
 from repro.spe.engine import Engine
 from repro.spe.memory import GIB, MemoryConfig
@@ -251,17 +259,38 @@ def _every_fault_kind(tmp: Path) -> Record:
     return _record(engine, metrics)
 
 
-def _fig6e_split(tmp: Path) -> Record:
+def _fig6e_engine(**observers: Any) -> DistributedEngine:
     # fig6e's shape, scaled down: YSB pipelines split in two segments over
     # two nodes, 100 ms hops, one Klink instance per node.
     queries = build_queries("ysb", 8, WorkloadParams(seed=SEED, rate_scale=1.25))
     plan = PhysicalPlan.split(queries, 2, segments=2)
-    engine = DistributedEngine.with_klink(
+    return DistributedEngine.with_klink(
         queries, plan, cores_per_node=2,
         memory=MemoryConfig(capacity_bytes=1.0 * GIB),
-        rpc_latency_ms=100.0, seed=SEED,
+        rpc_latency_ms=100.0, seed=SEED, **observers,
     )
+
+
+def _fig6e_split(tmp: Path) -> Record:
+    engine = _fig6e_engine()
     return _record(engine, engine.run(30_000.0))
+
+
+def _fig6e_observed(tmp: Path) -> Record:
+    # The same run with the per-cycle observers attached to both nodes.
+    audit = AuditLog()
+    sampler = TelemetrySampler()
+    monitor = InvariantMonitor()
+    engine = _fig6e_engine(
+        audit=audit, telemetry=sampler, profiler=OperatorProfiler(),
+        invariants=monitor,
+    )
+    record = _record(engine, engine.run(30_000.0))
+    assert monitor.ok, str(monitor)
+    record["audit_sha256"] = _sha256(audit.to_jsonl_str().encode())
+    series = "".join(dumps_line(row) + "\n" for row in sampler.series_rows())
+    record["series_sha256"] = _sha256(series.encode())
+    return record
 
 
 def cells() -> List[Cell]:
@@ -282,6 +311,7 @@ def cells() -> List[Cell]:
         Cell("checkpoint-mid-run-ysb-Klink", _checkpoint_mid_run),
         Cell("every-fault-kind-ysb-Klink", _every_fault_kind),
         Cell("fig6e-split-ysb-Klink", _fig6e_split),
+        Cell("fig6e-observed", _fig6e_observed),
         Cell(CLI_TRACE_CELL, _experiment(_CLI_TRACE_CONFIG, traced=True)),
     ]
     return out
@@ -324,16 +354,35 @@ def refresh(path: Path = FIXTURE) -> Optional[str]:
     return None
 
 
+def add_new_cells(path: Path = FIXTURE) -> List[str]:
+    """Capture the cells the fixture lacks into it; existing records are
+    kept as they are. Returns the names of the added cells."""
+    payload = json.loads(path.read_text())
+    added = [cell for cell in cells() if cell.name not in payload["cells"]]
+    for cell in added:
+        payload["cells"][cell.name] = capture_cell(cell)
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    return [cell.name for cell in added]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tests.golden", description=__doc__.split("\n\n")[0]
     )
-    parser.add_argument(
-        "--refresh", action="store_true", required=True,
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
+        "--refresh", action="store_true",
         help="recapture every cell into the fixture (schema change only); "
         "pytest tests/test_golden.py checks it",
     )
-    parser.parse_args(argv)
+    mode.add_argument(
+        "--add", action="store_true",
+        help="capture only the cells the fixture lacks, keeping the rest",
+    )
+    args = parser.parse_args(argv)
+    if args.add:
+        print(f"added {add_new_cells() or 'no cells'} to {FIXTURE}")
+        return 0
     refusal = refresh()
     if refusal is not None:
         print(refusal, file=sys.stderr)

@@ -27,7 +27,7 @@ from repro.spe.events import EventBatch, Watermark
 from repro.spe.memory import MemoryConfig, MemoryModel
 from repro.spe.query import SourceSpec
 from repro.spe.streams import Channel
-from repro.spe.windows import SlidingEventTimeWindows
+from repro.spe.windows import SlidingEventTimeWindows, TumblingEventTimeWindows
 from repro.net.delays import ConstantDelay
 
 sizes = st.floats(min_value=10.0, max_value=10_000.0, allow_nan=False)
@@ -59,6 +59,20 @@ class TestWindowProperties:
         else:
             assert total == pytest.approx(count * memberships, rel=1e-6)
         assert all(c >= 0 for _, c in assignments)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="pane k's end (start + size) and the grid start of pane k+n "
+        "(offset + (k+n)*slide) round differently, so a sliver a few ulps "
+        "wide belongs to two panes (ROADMAP)",
+    )
+    def test_assign_range_counts_a_rounding_sliver_once(self):
+        # The case behind test_assign_range_conserves_mass's intermittent
+        # failures: pane 11 ends at 1301.0000000000002 and pane 12 starts
+        # at 1301.0, so [1301, 1301 + 2**-23] is counted in both.
+        assigner = TumblingEventTimeWindows(1301 / 12)
+        assignments = assigner.assign_range(1301.0, 1301.0 + 2.0**-23, 1.0)
+        assert sum(c for _, c in assignments) == pytest.approx(1.0, rel=1e-9)
 
     @given(assigners(), times)
     @settings(max_examples=200)
