@@ -21,7 +21,7 @@ import os
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.cache import (
     CacheStats,
@@ -215,6 +215,26 @@ def trace_summary(metrics: RunMetrics) -> Dict[str, object]:
     return summary
 
 
+def trace_sections(
+    metrics: RunMetrics,
+    chains: Sequence[ChainProfile],
+    sampler: Optional[TelemetrySampler],
+    tracker: Optional[LineageTracker],
+) -> Dict[str, Any]:
+    """The end-of-run sections of a run trace, as keyword arguments of
+    both :meth:`TraceWriter.finalize` and :class:`Trace`."""
+    return dict(
+        operators=[p.to_dict() for p in metrics.operator_profiles],
+        chains=[c.to_dict() for c in chains],
+        series=sampler.series_rows() if sampler is not None else [],
+        alerts=sampler.alert_rows() if sampler is not None else [],
+        lineage=tracker.lineage_rows() if tracker is not None else [],
+        swm_forecast=tracker.swm_forecast_rows() if tracker is not None else [],
+        lineage_summary=tracker.summary_row() if tracker is not None else {},
+        summary=trace_summary(metrics),
+    )
+
+
 def trace_from_result(result: ExperimentResult) -> Trace:
     """Assemble an in-memory run trace from an audited/profiled result.
 
@@ -226,19 +246,12 @@ def trace_from_result(result: ExperimentResult) -> Trace:
         raise ValueError(
             "experiment ran without an audit log; re-run with audit=True"
         )
-    sampler = result.telemetry
-    tracker = result.lineage
     return Trace(
         meta=trace_meta(result.config),
         cycles=[record.to_dict() for record in result.audit.rows],
-        operators=[p.to_dict() for p in result.metrics.operator_profiles],
-        chains=[c.to_dict() for c in result.chain_profiles],
-        series=sampler.series_rows() if sampler is not None else [],
-        alerts=sampler.alert_rows() if sampler is not None else [],
-        lineage=tracker.lineage_rows() if tracker is not None else [],
-        swm_forecast=tracker.swm_forecast_rows() if tracker is not None else [],
-        lineage_summary=tracker.summary_row() if tracker is not None else {},
-        summary=trace_summary(result.metrics),
+        **trace_sections(
+            result.metrics, result.chain_profiles, result.telemetry, result.lineage
+        ),
     )
 
 
@@ -290,10 +303,6 @@ def run_experiment(
     lineage = None
     if config.lineage_sample_rate > 0.0:
         lineage = LineageTracker(config.lineage_sample_rate, seed=config.seed)
-        if isinstance(scheduler, KlinkScheduler):
-            # Pure observer of the estimates Klink computes anyway; the
-            # scheduler's decisions are untouched.
-            scheduler.forecast_audit = lineage.forecast
     checkpoints = None
     recovery = None
     if config.checkpoint_period_ms is not None:
@@ -324,20 +333,7 @@ def run_experiment(
     metrics = engine.run(config.duration_ms)
     chains = profiler.chain_profiles(queries) if profiler is not None else []
     if writer is not None:
-        writer.finalize(
-            operators=[p.to_dict() for p in metrics.operator_profiles],
-            chains=[c.to_dict() for c in chains],
-            series=sampler.series_rows() if sampler is not None else (),
-            alerts=sampler.alert_rows() if sampler is not None else (),
-            lineage=lineage.lineage_rows() if lineage is not None else (),
-            swm_forecast=(
-                lineage.swm_forecast_rows() if lineage is not None else ()
-            ),
-            lineage_summary=(
-                lineage.summary_row() if lineage is not None else None
-            ),
-            summary=trace_summary(metrics),
-        )
+        writer.finalize(**trace_sections(metrics, chains, sampler, lineage))
     return ExperimentResult(
         config=config,
         metrics=metrics,

@@ -45,7 +45,7 @@ class KlinkScheduler(Scheduler):
     per_query_overhead_ms = 0.05
 
     #: optional SWM-forecast accuracy audit (repro.obs.SwmForecastAudit),
-    #: installed by the bench runner when lineage tracing is enabled. A
+    #: installed by an attached LineageTracker when a run starts. A
     #: pure observer of the estimates Klink computes anyway — it is kept
     #: out of snapshot_state so checkpoint bytes are unchanged by tracing.
     forecast_audit: Optional["SwmForecastAudit"] = None

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
+from repro.obs.observer import CycleRecord, Observer
 from repro.spe.operators import SinkOperator, _WindowedOperatorBase
 from repro.spe.watermarks import WatermarkGeneratorOperator
 
@@ -47,7 +48,7 @@ class InvariantError(AssertionError):
     """Raised in strict mode on the first violation."""
 
 
-class InvariantMonitor:
+class InvariantMonitor(Observer):
     """Continuously asserts engine conservation invariants.
 
     Checked every cycle (and once more at the end of the run):
@@ -147,9 +148,10 @@ class InvariantMonitor:
 
     # -- engine-facing hooks ---------------------------------------------------
 
-    def on_cycle(self, engine, plans: Sequence = (), cpu_used_ms: float = 0.0) -> None:
+    def on_cycle(self, engine, record: CycleRecord) -> None:
         """Check all invariants after one collect/start/pause cycle."""
         now = engine.clock.now
+        cpu_used_ms = record.cpu_used_ms + record.overhead_ms
         tol = self.tolerance
         self.cycles_checked += 1
 
@@ -169,7 +171,8 @@ class InvariantMonitor:
             )
 
         registered = {q.query_id for q in engine.queries}
-        for plan in plans:
+        for node in record.nodes:
+            plan = node.plan
             if plan.mode != "priority":
                 continue
             ids = plan.scheduled_query_ids()
@@ -195,8 +198,9 @@ class InvariantMonitor:
             self._check_windows(query, now)
             self._check_sinks(query, now)
 
-    def finalize(self, engine) -> None:
-        """Re-check the stationary invariants on the final engine state."""
+    def on_run_end(self, engine) -> None:
+        """Re-check the stationary invariants on the engine state the run
+        ended in, and publish the violation count into ``RunMetrics``."""
         now = engine.clock.now
         for query in engine.queries:
             self._check_channels(query, now)
@@ -214,6 +218,7 @@ class InvariantMonitor:
                 f"per-binding ingestion counters ({delivered:.3f}) disagree "
                 f"with the engine total ({total:.3f})",
             )
+        engine.metrics.invariant_violations = self.total_violations
 
     # -- resilience hooks (repro.resilience) -----------------------------------
 

@@ -257,6 +257,9 @@ class AlertEngine:
         self.events: List[AlertEvent] = []
         self._pending: Dict[Tuple[str, str], _PendingState] = {}
         self._active: Dict[Tuple[str, str], AlertEvent] = {}
+        #: virtual time of the last publish; rows show alerts still
+        #: active as ending there
+        self._published_at: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self.events)
@@ -324,14 +327,13 @@ class AlertEngine:
             return False, 0.0
         return rule.compare(latest[1]), latest[1]
 
-    # -- finalization / serialization ----------------------------------------
+    # -- publication / serialization -----------------------------------------
 
-    def finalize(self, end_time: float) -> None:
-        """Close alerts still active at end of run."""
-        for event in self._active.values():
-            event.end = end_time
-        self._active.clear()
-        self._pending.clear()
+    def publish(self, end_time: float) -> None:
+        """Mark the end of a run at ``end_time``. Active alerts stay
+        active (a later run continues them); until one ends, its row
+        shows it ending at the last publish."""
+        self._published_at = end_time
 
     def counts(self) -> Dict[str, int]:
         """``{rule name: events fired}``, sorted by rule name."""
@@ -345,7 +347,11 @@ class AlertEngine:
         ordered = sorted(
             self.events, key=lambda e: (e.start, e.rule, e.series)
         )
-        return [e.to_dict() for e in ordered]
+        rows = [e.to_dict() for e in ordered]
+        for row in rows:
+            if row["end"] is None:
+                row["end"] = self._published_at
+        return rows
 
 
 def _worse(rule: AlertRule, candidate: float, incumbent: float) -> bool:

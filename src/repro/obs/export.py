@@ -236,7 +236,7 @@ class TraceWriter:
             tagged.update(row)
             lineage_bytes += len(dumps_line(tagged).encode("utf-8")) + 1
             self._writer.write(tagged)
-        if lineage_summary is not None:
+        if lineage_summary:
             tagged = {"type": "lineage_summary"}
             tagged.update(lineage_summary)
             tagged["trace_bytes"] = lineage_bytes

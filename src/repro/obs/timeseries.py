@@ -24,7 +24,7 @@ The engine-facing :class:`TelemetrySampler` is attached via
 signal set every ``period_ms`` of virtual time, feeds an optional
 :class:`~repro.obs.alerts.AlertEngine`, and publishes deadline-miss and
 watermark-lag aggregates through :class:`~repro.spe.metrics.RunMetrics`
-at the end of the run.
+at the end of every run.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Deque,
     Dict,
@@ -42,6 +43,11 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from repro.obs.observer import CycleRecord, Observer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.spe.engine import Engine
 
 Labels = Tuple[Tuple[str, str], ...]
 
@@ -360,7 +366,7 @@ class TelemetryConfig:
             raise ValueError(f"latency window must be >= 1: {self.latency_window}")
 
 
-class TelemetrySampler:
+class TelemetrySampler(Observer):
     """Samples the standard Klink signal set from a running engine.
 
     Attach via ``Engine(..., telemetry=TelemetrySampler())`` (the bench
@@ -395,7 +401,6 @@ class TelemetrySampler:
         self._lag_sum = 0.0
         self._lag_count = 0
         self._lag_max = -math.inf
-        self._finalized = False
         # Per-counter offsets added to the stats that set_total counters
         # mirror; on_rollback sets them so a counter keeps rising after
         # the engine rewinds its stats to a checkpoint.
@@ -403,37 +408,28 @@ class TelemetrySampler:
 
     # -- engine-facing hook --------------------------------------------------
 
-    def on_cycle(
-        self,
-        engine: Any,
-        now: float,
-        *,
-        cpu_used_ms: float,
-        overhead_ms: float,
-        node_cpu: Optional[Mapping[int, Tuple[float, float]]] = None,
-    ) -> None:
+    def on_cycle(self, engine: "Engine", record: CycleRecord) -> None:
         """Per-cycle hook: drain latencies, sample when a period elapses.
 
-        ``node_cpu`` (``{node: (cpu_used_ms, overhead_ms)}``) merges the
-        per-node CPU series into one registry; the engine passes it every
-        cycle, and a single node's equals the unlabelled ``cpu_ms``, so it
-        is recorded only when there is more than one node.
+        Each node's CPU (used plus overhead) goes to a ``node_cpu_ms``
+        counter labelled by node; a single node's equals the unlabelled
+        ``cpu_ms``, so it is recorded only when there is more than one.
         """
         self._drain_latencies(engine)
-        if node_cpu is not None and len(node_cpu) > 1:
-            for node in sorted(node_cpu):
-                used, overhead = node_cpu[node]
+        if len(record.nodes) > 1:
+            for node in record.nodes:
                 self.registry.counter(
-                    "node_cpu_ms", {"node": str(node)}
-                ).inc(used + overhead)
+                    "node_cpu_ms", {"node": str(node.node)}
+                ).inc(node.cpu_used_ms + node.overhead_ms)
+        now = record.time
         if not self._sample_due(now):
             return
-        self._collect(engine, now, cpu_used_ms, overhead_ms)
+        self._collect(engine, now)
         self.registry.sample(now)
         self.samples_taken += 1
         self.alerts.evaluate(now, self.registry)
 
-    def on_rollback(self, engine: Any) -> None:
+    def on_rollback(self, engine: "Engine") -> None:
         """Re-base after a checkpoint rollback rewound the engine's stats.
 
         Each cumulative counter continues from its value before the
@@ -508,9 +504,7 @@ class TelemetrySampler:
             return [(str(i), s) for i, s in enumerate(node_schedulers)]
         return [(None, node_schedulers[0])]
 
-    def _collect(
-        self, engine: Any, now: float, cpu_used_ms: float, overhead_ms: float
-    ) -> None:
+    def _collect(self, engine: Any, now: float) -> None:
         registry = self.registry
         queries = engine.queries
         registry.gauge("memory_utilization").set(
@@ -582,14 +576,13 @@ class TelemetrySampler:
                     )
                     self._set_total("op_cpu_ms", op_labels, op.stats.busy_ms)
 
-    # -- finalization --------------------------------------------------------
+    # -- publication ---------------------------------------------------------
 
-    def finalize(self, metrics: Any, end_time: float) -> None:
-        """Close open alerts and publish aggregates into ``RunMetrics``."""
-        if self._finalized:
-            return
-        self._finalized = True
-        self.alerts.finalize(end_time)
+    def on_run_end(self, engine: "Engine") -> None:
+        """Publish the aggregates into ``RunMetrics``; alerts still active
+        show as ending now, and keep running if the engine runs on."""
+        self.alerts.publish(engine.clock.now)
+        metrics = engine.metrics
         metrics.deadline_misses = self.deadline_misses
         if self._lag_count > 0:
             metrics.watermark_lag_mean_ms = self._lag_sum / self._lag_count

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from repro.core.scheduler import Plan
 from repro.net.delays import ConstantDelay
+from repro.obs.observer import CycleRecord, NodeCycle
 from repro.spe.operators import (
     FilterOperator,
     MapOperator,
@@ -93,3 +95,22 @@ def make_join_query(
     )
 
 
+
+
+def cycle_record(engine, plans=None, *, cpu_used_ms: float = 0.0) -> CycleRecord:
+    """A hand-made :class:`CycleRecord` of ``engine``'s current state, for
+    driving an observer's ``on_cycle`` directly: one node per plan (one
+    empty-plan node by default), the first carrying all of
+    ``cpu_used_ms``."""
+    plans = plans if plans is not None else [Plan([], mode="priority")]
+    return CycleRecord(
+        time=engine.clock.now,
+        cycle=engine.metrics.cycles,
+        ctx=engine._collect(),
+        backpressured=False,
+        down=frozenset(),
+        nodes=tuple(
+            NodeCycle(i, engine.scheduler, plan, [], cpu_used_ms if i == 0 else 0.0, 0.0)
+            for i, plan in enumerate(plans)
+        ),
+    )

@@ -140,17 +140,21 @@ class TestAlertEngine:
         assert len(engine) == 1
         assert engine.events[0].value == 1.0
 
-    def test_finalize_closes_open_events(self):
+    def test_publish_keeps_open_events_and_rows_end_them_there(self):
         engine, now = feed(["r: m > 10"], [20.0, 20.0])
         assert engine.events[0].end is None
-        engine.finalize(now)
-        assert engine.events[0].end == now
+        assert engine.to_rows()[0]["end"] is None
+        engine.publish(now)
+        # Still active (a later run continues it); its row ends at the
+        # publish.
+        assert engine.events[0].end is None
+        assert engine.to_rows()[0]["end"] == now
 
     def test_counts_and_rows_sorted(self):
         engine, now = feed(
             ["b: m > 10", "a: m > 15"], [20.0, 5.0, 20.0]
         )
-        engine.finalize(now)
+        engine.publish(now)
         assert list(engine.counts()) == ["a", "b"]
         rows = engine.to_rows()
         assert rows == sorted(

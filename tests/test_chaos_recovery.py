@@ -175,7 +175,7 @@ class TestInvariantCrashHooks:
 
     def test_wiped_queue_without_crash_report_breaks_conservation(self):
         monitor, engine, _ = self._run_and_wipe()
-        monitor.finalize(engine)
+        monitor.on_run_end(engine)
         assert not monitor.ok
         assert any(
             v.invariant == "event-conservation" for v in monitor.violations
@@ -184,7 +184,7 @@ class TestInvariantCrashHooks:
     def test_loss_tolerated_only_when_recovery_disabled(self):
         monitor, engine, lost_entry = self._run_and_wipe()
         monitor.on_crash(engine, lost_entry, recovery_enabled=False)
-        monitor.finalize(engine)
+        monitor.on_run_end(engine)
         assert monitor.ok, str(monitor)
 
     def test_loss_with_recovery_enabled_is_a_violation(self):

@@ -16,6 +16,7 @@ from repro.distributed import (
 )
 from repro.distributed.cluster import DistributedKlinkScheduler
 from repro.faults import FaultPlan, NodeFailure
+from repro.obs.observer import CycleRecord, NodeCycle
 from repro.workloads import WorkloadParams, build_queries
 from tests.helpers import make_join_query, make_simple_query
 
@@ -395,11 +396,15 @@ class TestDistributedTelemetry:
 
         def rows(order):
             sampler = TelemetrySampler()
-            node_cpu = {node: (float(node + 1), 0.5) for node in order}
-            sampler.on_cycle(
-                FakeEngine(), 200.0, cpu_used_ms=6.0, overhead_ms=1.5,
-                node_cpu=node_cpu,
+            record = CycleRecord(
+                time=200.0, cycle=0, ctx=None, backpressured=False,
+                down=frozenset(),
+                nodes=tuple(
+                    NodeCycle(node, None, None, [], float(node + 1), 0.5)
+                    for node in order
+                ),
             )
+            sampler.on_cycle(FakeEngine(), record)
             return [dumps_line(r) for r in sampler.series_rows()]
 
         assert rows([0, 1, 2]) == rows([2, 1, 0])

@@ -39,6 +39,7 @@ from repro.obs.schema import (
     validate_operator,
     validate_report,
 )
+from repro.obs.observer import CycleRecord, NodeCycle
 from repro.spe.engine import Engine
 from tests.helpers import make_simple_query
 
@@ -208,10 +209,14 @@ class TestAuditLog:
         ctx = SchedulerContext(now=0.0, cycle_ms=100.0, cores=1, queries=[q])
         throttles = throttles or [False] * len(flags)
         for i, (bp, thr) in enumerate(zip(flags, throttles)):
+            plan = Plan([Allocation(q)], throttle_ingestion=thr)
             audit.on_cycle(
-                time=float(i * 100), cycle=i, scheduler=Stub(), ctx=ctx,
-                plan=Plan([Allocation(q)], throttle_ingestion=thr),
-                backpressured=bp, cpu_used_ms=0.0, overhead_ms=0.0,
+                None,
+                CycleRecord(
+                    time=float(i * 100), cycle=i, ctx=ctx, backpressured=bp,
+                    down=frozenset(),
+                    nodes=(NodeCycle(0, Stub(), plan, [], 0.0, 0.0),),
+                ),
             )
         return audit
 

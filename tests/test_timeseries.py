@@ -240,12 +240,19 @@ class TestSamplerOnEngine:
         assert first and first == rows(0.0)
         assert first != rows(200.0)  # different config, different series
 
-    def test_finalize_is_idempotent(self):
-        sampler, metrics = run_sampled()
-        misses = metrics.deadline_misses
-        sampler.deadline_misses += 99  # must not leak through a second call
-        sampler.finalize(metrics, 99_999.0)
-        assert metrics.deadline_misses == misses
+    def test_run_end_publishes_the_running_totals(self):
+        # Every latency misses this SLO, so the count grows with the run.
+        sampler = TelemetrySampler(TelemetryConfig(deadline_slo_ms=1e-3))
+        engine = Engine([make_simple_query(delay_ms=50.0)], KlinkScheduler(), cores=4,
+                        cycle_ms=100.0, telemetry=sampler)
+        first = engine.run(6_000.0).deadline_misses
+        assert first > 0
+        sampler.on_run_end(engine)  # publishing again changes nothing
+        assert engine.metrics.deadline_misses == first
+        # A second run continues the count instead of keeping the first
+        # run's figure.
+        engine.run(6_000.0)
+        assert engine.metrics.deadline_misses == sampler.deadline_misses > first
 
     def test_series_rows_validate_against_schema(self):
         sampler, _ = run_sampled()
