@@ -436,7 +436,8 @@ class _ClassStateVisitor(ast.NodeVisitor):
     (c) writes through it (``self.x[k] = ...``, ``self.x.y = ...``) or
     calls a known in-place mutator / heapq function on it outside the
     constructor. Arbitrary method calls are deliberately not counted:
-    observer attachments (``self.audit.on_cycle()``) are not state.
+    calls into attached collaborators (``self.recovery.on_cycle(...)``,
+    ``self.lineage.on_ingested(...)``) are not state.
     """
 
     _INIT_METHODS = frozenset({"__init__", "__post_init__"})
