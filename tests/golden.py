@@ -259,20 +259,31 @@ def _every_fault_kind(tmp: Path) -> Record:
     return _record(engine, metrics)
 
 
-def _fig6e_engine(**observers: Any) -> DistributedEngine:
+def _fig6e_engine(policy: Optional[str] = None, **observers: Any) -> DistributedEngine:
     # fig6e's shape, scaled down: YSB pipelines split in two segments over
-    # two nodes, 100 ms hops, one Klink instance per node.
+    # two nodes, 100 ms hops, one Klink instance per node (or one instance
+    # of the named query-level policy per node).
     queries = build_queries("ysb", 8, WorkloadParams(seed=SEED, rate_scale=1.25))
     plan = PhysicalPlan.split(queries, 2, segments=2)
-    return DistributedEngine.with_klink(
-        queries, plan, cores_per_node=2,
+    kwargs: Dict[str, Any] = dict(
+        cores_per_node=2,
         memory=MemoryConfig(capacity_bytes=1.0 * GIB),
         rpc_latency_ms=100.0, seed=SEED, **observers,
+    )
+    if policy is None:
+        return DistributedEngine.with_klink(queries, plan, **kwargs)
+    return DistributedEngine.with_policy(
+        queries, plan, lambda: make_scheduler(policy), **kwargs
     )
 
 
 def _fig6e_split(tmp: Path) -> Record:
     engine = _fig6e_engine()
+    return _record(engine, engine.run(30_000.0))
+
+
+def _fig6e_split_default(tmp: Path) -> Record:
+    engine = _fig6e_engine("Default")
     return _record(engine, engine.run(30_000.0))
 
 
@@ -311,6 +322,7 @@ def cells() -> List[Cell]:
         Cell("checkpoint-mid-run-ysb-Klink", _checkpoint_mid_run),
         Cell("every-fault-kind-ysb-Klink", _every_fault_kind),
         Cell("fig6e-split-ysb-Klink", _fig6e_split),
+        Cell("fig6e-split-ysb-Default", _fig6e_split_default),
         Cell("fig6e-observed", _fig6e_observed),
         Cell(CLI_TRACE_CELL, _experiment(_CLI_TRACE_CONFIG, traced=True)),
     ]
