@@ -7,7 +7,9 @@ delay and cost information through a :class:`ForwardingBoard` whose
 remote reads lag by the RPC latency, exactly as the paper's design: the
 node hosting a query's source publishes watermark/delay statistics
 downstream, and every node hosting downstream operators publishes its
-local pending cost upstream (Fig. 5's forwarding arrows).
+local pending cost upstream (Fig. 5's forwarding arrows). Only policies
+that read the board register as its readers; under query-level
+baselines no node does, and nothing is published.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ class DistributedKlinkScheduler(KlinkScheduler):
         self.board = board
         self.physical_plan = plan
         self.name = f"Klink@node{node}"
+        board.register_reader(node)
 
     def _forwarded_cost(self, query: Query, now: float) -> float:
         """Total pending cost: every node's published share for the query."""
@@ -54,7 +57,8 @@ class DistributedKlinkScheduler(KlinkScheduler):
         return total
 
     def query_slack(self, query: Query, ctx: SchedulerContext) -> Tuple[float, int]:
-        source_node = self.physical_plan.source_node(query)
+        placement = self.physical_plan.placement(query)
+        source_node = placement.source_node
         if source_node == self.node:
             return super().query_slack(query, ctx)
         info = self.board.read(self.node, source_node, query.query_id, ctx.now)
@@ -63,12 +67,7 @@ class DistributedKlinkScheduler(KlinkScheduler):
         cost = self._forwarded_cost(query, ctx.now)
         # Pending-SWM check against the forwarded watermark state and the
         # locally hosted window operators' buffered panes.
-        local_windows = [
-            op
-            for op in query.windowed_operators()
-            if self.physical_plan.node_of_operator(op) == self.node
-        ]
-        for op in local_windows:
+        for op in placement.local_windows[self.node]:
             deadlines = op.pending_pane_deadlines()
             if deadlines and deadlines[0] <= info.last_watermark_ts:
                 return deadlines[0] - ctx.now, 0
@@ -180,13 +179,15 @@ class DistributedEngine(Engine):
             channel.release(now)
 
     def _publish_info(self, now: float, down_nodes: FrozenSet[int]) -> None:
+        if not self.board.has_readers:
+            return  # no policy reads the board (query-level baselines)
         for query in self.queries:
             unit = query.unit_costs()
-            source_node = self.plan.source_node(query)
-            for node in range(self.plan.n_nodes):
+            placement = self.plan.placement(query)
+            source_node = placement.source_node
+            for node, local_ops in enumerate(placement.local):
                 if node in down_nodes:
                     continue  # a failed node publishes nothing; reads go stale
-                local_ops = self.plan.local_operators(query, node)
                 if not local_ops:
                     continue
                 info = QueryInfo(published_at=now)
@@ -233,7 +234,9 @@ class DistributedEngine(Engine):
         moved operators run there from the next plan onward. Everything
         downstream — ``_localize``, ``plan.local_operators``, the
         forwarding board, the per-node schedulers — reads the placement
-        dynamically, so the promotion takes effect cluster-wide at once.
+        tables that :meth:`PhysicalPlan.reassign` drops, so the promotion
+        takes effect cluster-wide at once. Placement is infrastructure
+        state: a re-placement survives rollback, like the wall clock.
         """
         survivors = [
             n
@@ -248,10 +251,13 @@ class DistributedEngine(Engine):
             if target_node in load:
                 load[target_node] += 1
         target = min(survivors, key=lambda n: (load[n], n))
-        for query in self.queries:
-            for op in query.operators:
-                if self.plan.node_of[id(op)] == node:
-                    self.plan.node_of[id(op)] = target  # klink: transient[placement is infrastructure state: failover re-placement survives rollback, like the wall clock]
+        moved = [
+            op
+            for query in self.queries
+            for op in self.plan.local_operators(query, node)
+        ]
+        for op in moved:
+            self.plan.reassign(op, target)
         # Re-derive which edges now cross nodes (the moved operators may
         # have gained or lost co-location with their neighbours).
         for query in self.queries:
@@ -271,11 +277,12 @@ class DistributedEngine(Engine):
         """Restrict a node's plan to the operators hosted on that node."""
         allocations = []
         for alloc in plan.allocations:
-            local = [
-                op
-                for op in alloc.runnable_operators()
-                if self.plan.node_of[id(op)] == node
-            ]
+            placement = self.plan.placement(alloc.query)
+            if alloc.operators is None:
+                local = placement.local[node]
+            else:
+                hosted = placement.local_ids[node]
+                local = [op for op in alloc.operators if id(op) in hosted]
             if local:
                 allocations.append(Allocation(alloc.query, local))
         return Plan(allocations, mode=plan.mode)

@@ -15,12 +15,16 @@ forwarding period old. The :class:`ForwardingBoard` models exactly that:
 each node publishes its local contribution every cycle, and reads from
 other nodes return the snapshot published at least ``rpc_latency_ms``
 ago. A node reading its own entries sees them fresh.
+
+Forwarding exists only for the policies that read it. A policy that does
+registers its node with :meth:`ForwardingBoard.register_reader`; while no
+node has, the engine publishes nothing and the board stays empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 @dataclass
@@ -47,6 +51,18 @@ class ForwardingBoard:
         self.rpc_latency_ms = rpc_latency_ms
         # (node, query_id) -> [(published_at, info)] — two most recent kept
         self._entries: Dict[Tuple[int, str], List[Tuple[float, QueryInfo]]] = {}
+        # nodes whose policy reads the board
+        self._readers: Set[int] = set()
+
+    def register_reader(self, node: int) -> None:
+        """Declare that ``node``'s policy reads the board."""
+        self._readers.add(node)  # klink: transient[wiring fixed when the per-node policies are built]
+
+    @property
+    def has_readers(self) -> bool:
+        """Whether any node's policy reads the board (publishing is
+        wasted work otherwise)."""
+        return bool(self._readers)
 
     def publish(self, node: int, query_id: str, info: QueryInfo) -> None:
         """Publish ``node``'s local information about ``query_id``."""

@@ -12,35 +12,88 @@ provided:
 * ``split`` — each pipeline is cut into contiguous segments spread over
   consecutive nodes (the Fig. 5 scenario), exercising cross-node record
   transfer and the delay/cost information forwarding rules.
+
+The per-cycle readers (the engine's plan localization and forwarding,
+the distributed Klink slack) ask the plan which of a query's operators a
+node hosts. Placement changes only at standby promotion, so those answers
+are tables built once per query on first use; :meth:`PhysicalPlan.reassign`
+is the one way to move an operator and drops them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, FrozenSet, List, Sequence
 
 from repro.spe.operators import Operator
 from repro.spe.query import Query
 
 
+@dataclass(frozen=True)
+class QueryPlacement:
+    """One query's placement tables, derived from ``PhysicalPlan.node_of``.
+
+    Every per-node list keeps pipeline order; index by node.
+    """
+
+    source_node: int
+    local: List[List[Operator]]
+    local_ids: List[FrozenSet[int]]
+    local_windows: List[List[Operator]]
+
+
 @dataclass
 class PhysicalPlan:
-    """Maps every operator (by id) to a node index."""
+    """Maps every operator (by id) to a node index.
+
+    Write ``node_of`` only while building a plan; move an operator of a
+    running deployment with :meth:`reassign`.
+    """
 
     n_nodes: int
     node_of: Dict[int, int] = field(default_factory=dict)
+    # id(query) -> its placement tables, built on first use
+    _tables: Dict[int, QueryPlacement] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def node_of_operator(self, op: Operator) -> int:
         return self.node_of[id(op)]
 
+    def placement(self, query: Query) -> QueryPlacement:
+        """The query's placement tables (built on first use)."""
+        tables = self._tables.get(id(query))
+        if tables is None:
+            node_of = self.node_of
+            local: List[List[Operator]] = [[] for _ in range(self.n_nodes)]
+            for op in query.operators:
+                local[node_of[id(op)]].append(op)
+            windows: List[List[Operator]] = [[] for _ in range(self.n_nodes)]
+            for op in query.windowed_operators():
+                windows[node_of[id(op)]].append(op)
+            tables = QueryPlacement(
+                source_node=node_of[id(query.operators[0])],
+                local=local,
+                local_ids=[frozenset(id(op) for op in ops) for ops in local],
+                local_windows=windows,
+            )
+            self._tables[id(query)] = tables
+        return tables
+
+    def reassign(self, op: Operator, node: int) -> None:
+        """Move ``op`` to ``node``; the placement tables are rebuilt on
+        their next read."""
+        self.node_of[id(op)] = node
+        self._tables = {}  # klink: transient[derived from node_of; rebuilt on the next read]
+
     def source_node(self, query: Query) -> int:
         """Node hosting the query's first operator (watermark origin)."""
-        return self.node_of_operator(query.operators[0])
+        return self.placement(query).source_node
 
     def local_operators(self, query: Query, node: int) -> List[Operator]:
-        return [
-            op for op in query.operators if self.node_of[id(op)] == node
-        ]
+        """The query's operators hosted on ``node``, in pipeline order
+        (do not mutate the returned list)."""
+        return self.placement(query).local[node]
 
     def is_split(self, query: Query) -> bool:
         nodes = {self.node_of[id(op)] for op in query.operators}

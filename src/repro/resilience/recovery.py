@@ -92,9 +92,8 @@ def _node_operators(engine: "Engine", node: int) -> List[Tuple[Any, Any]]:
     plan = getattr(engine, "plan", None)
     pairs = []
     for query in engine.queries:
-        for op in query.operators:
-            if plan is None or plan.node_of[id(op)] == node:
-                pairs.append((query, op))
+        ops = query.operators if plan is None else plan.local_operators(query, node)
+        pairs.extend((query, op) for op in ops)
     return pairs
 
 

@@ -263,6 +263,81 @@ class TestOneCycleLoop:
         assert all(profiler.totals_ms[p] > 0.0 for p in profiler.PHASES)
 
 
+class TestPublishOnlyToReaders:
+    """The board is a side channel for the policies that read it."""
+
+    @staticmethod
+    def default_split(**kwargs):
+        queries = build_queries("ysb", 4, WorkloadParams(seed=7))
+        plan = PhysicalPlan.split(queries, 2, segments=2)
+        return DistributedEngine.with_policy(
+            queries, plan, DefaultScheduler, cores_per_node=2,
+            rpc_latency_ms=100.0, seed=7, **kwargs
+        )
+
+    def test_board_without_a_reader_stays_empty(self):
+        engine = self.default_split()
+        engine.run(10_000.0)
+        assert not engine.board.has_readers
+        assert engine.board._entries == {}
+
+    def test_a_reader_does_not_change_the_run(self):
+        plain = self.default_split()
+        baseline = plain.run(10_000.0)
+        read = self.default_split()
+        read.board.register_reader(0)
+        metrics = read.run(10_000.0)
+        assert read.board._entries  # the reader made the engine publish
+        assert metrics.summary() == baseline.summary()
+        assert metrics.swm_latencies == baseline.swm_latencies
+
+    def test_klink_instances_register_and_read_lagged_info(self):
+        queries = [make_simple_query(f"q{i}", rate_eps=500.0) for i in range(2)]
+        plan = PhysicalPlan.split(queries, 2, segments=2)
+        engine = DistributedEngine.with_klink(queries, plan, rpc_latency_ms=100.0)
+        assert engine.board.has_readers
+        engine.run(5_000.0)
+        now = engine.clock.now
+        q0 = queries[0].query_id
+        source = plan.source_node(queries[0])
+        remote = engine.board.read(1 - source, source, q0, now)
+        local = engine.board.read(source, source, q0, now)
+        assert local.published_at == now
+        assert remote.published_at <= now - 100.0
+
+
+class TestPlacementTables:
+    def test_reassign_drops_the_cached_tables(self):
+        queries = [make_simple_query("q0")]
+        plan = PhysicalPlan.locality(queries, 2)
+        q = queries[0]
+        assert plan.local_operators(q, 1) == []
+        plan.reassign(q.operators[-1], 1)
+        assert plan.local_operators(q, 1) == [q.operators[-1]]
+        assert plan.local_operators(q, 0) == q.operators[:-1]
+        plan.reassign(q.operators[0], 1)
+        assert plan.source_node(q) == 1
+
+    def test_standby_promotion_localizes_moved_operators(self):
+        from repro.core.scheduler import Allocation, Plan
+
+        queries = [make_simple_query(f"q{i}", rate_eps=500.0) for i in range(2)]
+        plan = PhysicalPlan.locality(queries, 2)
+        engine = DistributedEngine.with_policy(queries, plan, DefaultScheduler)
+        engine.run(2_000.0)  # the tables are built by now
+        whole = Plan([Allocation(q) for q in queries], mode="share")
+        moved = list(queries[1].operators)
+        assert engine._localize(whole, 0).allocations[0].operators == queries[0].operators
+        engine._on_standby_promotion(1, engine.clock.now)
+        hosted = [
+            op for alloc in engine._localize(whole, 0).allocations
+            for op in alloc.runnable_operators()
+        ]
+        assert all(op in hosted for op in moved)
+        assert engine._localize(whole, 1).allocations == []
+        assert engine._source_node(queries[1]) == 0
+
+
 class TestSweepHelper:
     def test_sweep_returns_grid(self):
         from repro.bench.runner import ExperimentConfig, sweep
