@@ -220,6 +220,8 @@ class Engine:
         now = self.clock.now
         cycle_ms = self.cycle_ms
         cursor = binding._gen_cursor
+        if cursor.period != gen_batch_ms:
+            cursor.retune(gen_batch_ms)
         g_origin, g_period = cursor.origin, cursor.period
         step = cursor.step
         g0 = g_origin + step * g_period
@@ -274,6 +276,10 @@ class Engine:
         # a WatermarkGeneratorOperator instead (Sec. 2.2 case ii).
         if spec.emit_watermarks:
             cursor = binding._watermark_cursor
+            if cursor.period != spec.watermark_period_ms:
+                cursor.retune(spec.watermark_period_ms)
+                if binding.progress is not None:
+                    binding.progress.watermark_period_ms = spec.watermark_period_ms
             w_origin, w_period = cursor.origin, cursor.period
             step = cursor.step
             lateness = spec.lateness_ms
@@ -311,6 +317,8 @@ class Engine:
             cursor.step = step
         # Latency markers: 200 ms period per source (Sec. 6.1.2).
         cursor = binding._marker_cursor
+        if cursor.period != spec.marker_period_ms:
+            cursor.retune(spec.marker_period_ms)
         m_origin, m_period = cursor.origin, cursor.period
         step = cursor.step
         while True:

@@ -284,10 +284,23 @@ class PeriodicCursor:
         self.origin = float(origin)
         self.step = 0
 
+    def retune(self, period: float) -> None:
+        """Keep the next tick, and space the ticks after it ``period``
+        apart (re-anchored there, so the grid stays drift-free)."""
+        self.origin = self.value
+        self.step = 0
+        self.period = float(period)
+
 
 class SourceBinding:
     """Wires a :class:`SourceSpec` into a query and tracks its generation
-    and progress state. Generation cursors are owned by the engine."""
+    and progress state. Generation cursors are owned by the engine.
+
+    The spec's periods (``gen_batch_ms``, ``watermark_period_ms``,
+    ``marker_period_ms``) stay live after binding: the engine retunes a
+    cursor whose period no longer matches its spec field before it
+    generates, so a changed period applies from the cursor's next tick.
+    """
 
     def __init__(
         self,
