@@ -211,6 +211,21 @@ def _backpressure(tmp: Path) -> Record:
     return record
 
 
+def _lineage_traced(tmp: Path) -> Record:
+    config = _config(
+        "lrb", "Klink", lineage_sample_rate=0.05, checkpoint_period_ms=2_000.0
+    )
+    record = _experiment(config, traced=True)(tmp)
+    # The only cell whose trace holds the lineage records; it must hold
+    # every kind of them.
+    kinds = {
+        json.loads(line)["type"]
+        for line in (tmp / "trace.jsonl").read_text().splitlines()
+    }
+    assert {"lineage", "swm_forecast", "lineage_summary"} <= kinds, kinds
+    return record
+
+
 def _bursty(tmp: Path) -> Record:
     queries = [
         make_simple_query("bursty-q0", rate_eps=5_000.0, burst_factor=3.0, seed=5)
@@ -325,6 +340,7 @@ def cells() -> List[Cell]:
         Cell("fig6e-split-ysb-Default", _fig6e_split_default),
         Cell("fig6e-observed", _fig6e_observed),
         Cell(CLI_TRACE_CELL, _experiment(_CLI_TRACE_CONFIG, traced=True)),
+        Cell("lineage-traced-lrb-Klink", _lineage_traced),
     ]
     return out
 
