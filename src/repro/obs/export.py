@@ -66,8 +66,30 @@ def jsonify(value: Any) -> Any:
 
 
 def dumps_line(row: Mapping[str, Any]) -> str:
-    """One deterministic JSONL line (no trailing newline)."""
-    return json.dumps(jsonify(dict(row)), separators=(",", ":"), allow_nan=False)
+    """One deterministic JSONL line (no trailing newline).
+
+    The C encoder writes the row as it is. Only a row it rejects — a
+    non-finite float (``ValueError``), or a key or mapping it cannot take
+    (``TypeError``) — goes through :func:`jsonify` first, which maps
+    non-finite floats to ``null`` and keys through ``str``. An
+    unencodable value raises the encoder's ``TypeError`` either way.
+
+    Key contract: every dict key is a plain ``str``, ``int`` or ``float``
+    (not a ``bool``, ``None`` or an enum), and no two keys of one dict
+    have the same ``str``. Then both routes give the same bytes. (The
+    encoder writes a ``bool`` or ``None`` key as ``"true"``/``"null"``,
+    where ``str`` gives ``"True"``/``"None"``, and ``jsonify`` would
+    merge two keys with one ``str``.)
+
+    The encoder escapes non-ASCII text, so the line's length is its size
+    in bytes.
+    """
+    try:
+        return json.dumps(row, separators=(",", ":"), allow_nan=False)
+    except (ValueError, TypeError):
+        return json.dumps(
+            jsonify(dict(row)), separators=(",", ":"), allow_nan=False
+        )
 
 
 class JsonlWriter:
@@ -85,14 +107,17 @@ class JsonlWriter:
         self.rows_written = 0
         self._fh: Optional[IO[str]] = open(path, "w", encoding="utf-8")
 
-    def write(self, row: Mapping[str, Any]) -> None:
+    def write(self, row: Mapping[str, Any]) -> int:
+        """Append one row; returns the bytes written, newline included."""
         if self._fh is None:
             raise ValueError(f"writer already closed: {self.path}")
-        self._fh.write(dumps_line(row))
+        line = dumps_line(row)
+        self._fh.write(line)
         self._fh.write("\n")
         self.rows_written += 1
         if self.rows_written % self.flush_every == 0:
             self._fh.flush()
+        return len(line) + 1
 
     def close(self) -> None:
         if self._fh is not None:
@@ -229,13 +254,11 @@ class TraceWriter:
         for row in lineage:
             tagged = {"type": "lineage"}
             tagged.update(row)
-            lineage_bytes += len(dumps_line(tagged).encode("utf-8")) + 1
-            self._writer.write(tagged)
+            lineage_bytes += self._writer.write(tagged)
         for row in swm_forecast:
             tagged = {"type": "swm_forecast"}
             tagged.update(row)
-            lineage_bytes += len(dumps_line(tagged).encode("utf-8")) + 1
-            self._writer.write(tagged)
+            lineage_bytes += self._writer.write(tagged)
         if lineage_summary:
             tagged = {"type": "lineage_summary"}
             tagged.update(lineage_summary)

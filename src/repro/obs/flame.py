@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Sequence
 
-from repro.obs.export import Trace, dumps_line, jsonify
+from repro.obs.export import Trace, dumps_line
 from repro.obs.lineage import SPAN_KINDS
 from repro.obs.schema import SchemaError
 
@@ -395,6 +395,6 @@ def write_chrome_trace(
     payload = chrome_trace_events(trace, include_series=include_series)
     validate_chrome_trace(payload)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_line(jsonify(payload)))
+        fh.write(dumps_line(payload))
         fh.write("\n")
     return payload

@@ -6,6 +6,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import (
     DefaultScheduler,
@@ -315,6 +317,47 @@ class TestOperatorProfiler:
         )
 
 
+def _dict_of(values):
+    # Keys of every kind the key contract allows, non-finite floats
+    # included; no two with the same str (jsonify would merge them).
+    keys = st.text(max_size=4) | st.integers() | st.floats()
+    return st.lists(
+        st.tuples(keys, values), max_size=4, unique_by=lambda kv: str(kv[0])
+    ).map(dict)
+
+
+def _rows_of(leaves):
+    """Nested rows: lists, tuples and dicts around ``leaves``."""
+    return _dict_of(
+        st.recursive(
+            leaves,
+            lambda inner: st.lists(inner, max_size=3)
+            | st.lists(inner, max_size=3).map(tuple)
+            | _dict_of(inner),
+            max_leaves=12,
+        )
+    )
+
+
+#: JSON leaves; the floats include ±inf and NaN, the text unicode
+_json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+)
+
+
+def _jsonify_route(row):
+    # The reference: how every row was encoded before the C encoder
+    # wrote rows without non-finite floats directly.
+    return json.dumps(jsonify(dict(row)), separators=(",", ":"), allow_nan=False)
+
+
+def _outcome(encode, row):
+    try:
+        return encode(row)
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+
+
 class TestExportPrimitives:
     def test_jsonify_maps_non_finite_to_null(self):
         out = jsonify({"a": math.nan, "b": [math.inf, 1.0], "c": {"d": -math.inf}})
@@ -323,6 +366,23 @@ class TestExportPrimitives:
     def test_dumps_line_is_compact_and_ordered(self):
         line = dumps_line({"b": 1, "a": math.nan})
         assert line == '{"b":1,"a":null}'
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=_rows_of(_json_leaves))
+    def test_dumps_line_matches_the_jsonify_route(self, row):
+        assert dumps_line(row) == _jsonify_route(row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row=_rows_of(_json_leaves | st.sampled_from([{1, 2}, b"raw"])))
+    def test_dumps_line_raises_what_the_jsonify_route_raises(self, row):
+        assert _outcome(dumps_line, row) == _outcome(_jsonify_route, row)
+
+    def test_jsonl_writer_returns_the_bytes_it_wrote(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        rows = [{"i": 1, "s": "\u00e9\u6f22"}, {"x": math.inf, 2: [1.5, "\U0001f600"]}]
+        with JsonlWriter(str(path)) as writer:
+            written = sum(writer.write(row) for row in rows)
+        assert written == path.stat().st_size
 
     def test_jsonl_writer_bounded_and_reopenable(self, tmp_path):
         path = tmp_path / "rows.jsonl"
