@@ -777,6 +777,10 @@ class CheckpointCoordinator(Observer):
     virtual time but is *skipped* while any node is down — snapshots
     must be globally consistent, and a failed node cannot contribute its
     state (the alignment rule of checkpoint-based recovery).
+
+    The end of a run sizes the latest snapshot into
+    ``RunMetrics.checkpoint_bytes_last``: one serialize per run, not one
+    per checkpoint.
     """
 
     def __init__(self, period_ms: float, *, keep: int = 4) -> None:
@@ -791,6 +795,13 @@ class CheckpointCoordinator(Observer):
 
     def on_cycle(self, engine: "Engine", record: CycleRecord) -> None:
         self.maybe_checkpoint(engine, record.time, record.down)
+
+    def on_run_end(self, engine: "Engine") -> None:
+        # Sized once, here: a stored snapshot shares nothing with live
+        # state, so its text now is its text when it was taken.
+        latest = self.store.latest()
+        if latest is not None:
+            engine.metrics.checkpoint_bytes_last = len(serialize(latest))
 
     def ensure_baseline(self, engine: "Engine") -> None:
         """Guarantee at least one snapshot exists (taken at run start),
@@ -814,11 +825,9 @@ class CheckpointCoordinator(Observer):
         snapshot = capture(engine)
         tracker = getattr(engine, "lineage", None)
         # The sidecar rides the store but never enters the snapshot, so
-        # checkpoint bytes (and the bytes accounting below) are identical
-        # with tracing on or off.
+        # checkpoint bytes are identical with tracing on or off.
         self.store.add(
             snapshot,
             lineage=capture_lineage(tracker) if tracker is not None else None,
         )
         engine.metrics.checkpoints_taken += 1
-        engine.metrics.checkpoint_bytes_last = len(serialize(snapshot))

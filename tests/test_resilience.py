@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.bench.runner import SCHEDULER_NAMES, make_scheduler
 from repro.core.klink import KlinkScheduler
 from repro.core.baselines import DefaultScheduler, RoundRobinScheduler
+from repro.faults import FaultPlan, NodeFailure
 from repro.resilience import (
     SCHEMA_VERSION,
     CheckpointCoordinator,
@@ -37,10 +38,13 @@ from tests.helpers import make_join_query, make_simple_query
 MB = 1024 * 1024
 
 
-def build_engine(scheduler_name: str = "Klink", *, seed: int = 0) -> Engine:
+def build_engine(
+    scheduler_name: str = "Klink", *, seed: int = 0, **attached: object
+) -> Engine:
     """Two heterogeneous queries (bursty tumbling + two-input join) so a
     checkpoint must cover burst RNG state, join watermark vectors, and
-    per-query progress trackers."""
+    per-query progress trackers. ``attached`` goes to the engine as is
+    (faults, checkpoints, recovery)."""
     q0 = make_simple_query(
         "q0", rate_eps=4000.0, delay_ms=40.0, burst_factor=3.0, seed=seed
     )
@@ -52,7 +56,34 @@ def build_engine(scheduler_name: str = "Klink", *, seed: int = 0) -> Engine:
         cycle_ms=100.0,
         memory=MemoryConfig(capacity_bytes=256 * MB),
         seed=seed,
+        **attached,
     )
+
+
+def checkpointed_run(recover: str):
+    """A 5 s run checkpointed every 500 ms. With ``recover="restart"`` node
+    0 fails from 1.2 s to 2.5 s and the engine rolls back to the latest
+    checkpoint. Returns the engine and, for every snapshot in the order
+    the store received it, the snapshot and its text at that moment."""
+    coordinator = CheckpointCoordinator(500.0, keep=2)
+    taken = []
+    add = coordinator.store.add
+
+    def add_and_record(snapshot, lineage=None):
+        taken.append((snapshot, serialize(snapshot)))
+        add(snapshot, lineage)
+
+    coordinator.store.add = add_and_record
+    attached = dict(checkpoints=coordinator)
+    if recover == "restart":
+        attached.update(
+            faults=FaultPlan([NodeFailure(1_200.0, 2_500.0, node=0)]),
+            recovery=RecoveryManager(RecoveryConfig("restart"), coordinator),
+        )
+    engine = build_engine(**attached)
+    metrics = engine.run(5_000.0)
+    assert metrics.recoveries == (1 if recover == "restart" else 0)
+    return engine, taken
 
 
 class TestCheckpointRoundTrip:
@@ -184,6 +215,25 @@ class TestCheckpointCoordinator:
         )  # same period: still skipped
         assert coordinator.maybe_checkpoint(engine, 1000.0)  # next boundary
         assert coordinator.store.times() == [0.0]  # captured engine at t=0
+
+    @pytest.mark.parametrize("recover", ["none", "restart"])
+    def test_stored_snapshots_share_nothing_with_live_state(self, recover):
+        # The text of every snapshot, serialized when it was stored,
+        # equals its text after the rest of the run (and the rollback):
+        # a snapshot's size can be read at any later point.
+        engine, taken = checkpointed_run(recover)
+        # baseline + every 500 ms, less the two due while node 0 is down
+        assert len(taken) == engine.metrics.checkpoints_taken >= 9
+        for snapshot, text in taken:
+            assert serialize(snapshot) == text
+
+    @pytest.mark.parametrize("recover", ["none", "restart"])
+    def test_bytes_last_sizes_the_latest_snapshot(self, recover):
+        engine, taken = checkpointed_run(recover)
+        latest = engine.checkpoints.store.latest()
+        assert latest is taken[-1][0]
+        assert engine.metrics.checkpoint_bytes_last == len(serialize(latest))
+        assert engine.metrics.checkpoint_bytes_last == len(taken[-1][1])
 
     def test_baseline_taken_once(self):
         engine = build_engine()
